@@ -930,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--benchmarks",
         help="comma list: engine_churn,fault_storm,macro_vgg16,"
-        "sweep_prefix (default all)",
+        "snapshot_fork (default all)",
     )
     profile.add_argument(
         "--repeat",

@@ -73,7 +73,7 @@ class UvmDriverConfig:
     #: (:class:`repro.vm.page_table.BitmapPageTable`) instead of the
     #: scalar set-based reference.  Both produce byte-identical costs and
     #: counters; the bitmap is faster for bulk map/unmap and cheap to
-    #: deep-copy on snapshot fork.  Disabling selects the scalar reference
+    #: serialize on snapshot fork.  Disabling selects the scalar reference
     #: path (used by the differential property tests).
     vectorized: bool = True
 
@@ -96,37 +96,6 @@ class UvmDriverConfig:
     #: Base backoff between transfer retries; attempt ``n`` waits
     #: ``n * transfer_retry_backoff`` before re-issuing the command.
     transfer_retry_backoff: float = field(default=us(20.0))
-
-    # --- transfer batching ------------------------------------------------
-    #: Batch contiguous va_blocks of one migration under a single
-    #: copy-engine hold, mirroring how the real driver issues one ranged
-    #: VA-block operation instead of one command per 2 MiB block.  Wire
-    #: times are still charged per coalesced span, so simulated times,
-    #: traffic bytes and RMT counts are identical with the knob on or
-    #: off; only the host-side event count changes (O(runs-of-blocks)
-    #: instead of O(blocks)).  Off restores the legacy per-span
-    #: request/release machinery.
-    coalesce_transfers: bool = True
-
-    # --- simulation reuse -------------------------------------------------
-    #: Allow the sweep harness to simulate a group's shared setup prefix
-    #: once, snapshot at the quiescent boundary, and fork per point.  A
-    #: pure wall-clock optimization: forked runs are bit-for-bit
-    #: identical to cold runs (see docs/PERFORMANCE.md), so this is safe
-    #: to leave on even for golden-trace reproduction.
-    snapshot_reuse: bool = True
-    #: Fast-forward strictly periodic workload phases (the DL training
-    #: loop): once ``steady_state_verify_iterations`` consecutive
-    #: iterations produce identical deltas (counters, traffic, RMT
-    #: bytes), replay the delta for the remaining iterations instead of
-    #: simulating them.  Unlike ``snapshot_reuse`` this *approximates*
-    #: simulated time (float addition order differs), so it is off by
-    #: default and rejected in golden-trace mode (event log or retained
-    #: transfer records).
-    steady_state_fastforward: bool = False
-    #: Consecutive identical iteration deltas required before the
-    #: fast-forward replay engages.
-    steady_state_verify_iterations: int = 2
 
     # --- instrumentation --------------------------------------------------
     #: Retain individual transfer records (memory-heavy; tests only).
@@ -164,26 +133,8 @@ class UvmDriverConfig:
                 "UvmDriverConfig.transfer_max_retries must be >= 0, got "
                 f"{self.transfer_max_retries}"
             )
-        if self.steady_state_verify_iterations < 1:
-            raise ValueError(
-                "UvmDriverConfig.steady_state_verify_iterations must be "
-                f">= 1, got {self.steady_state_verify_iterations}"
-            )
         if self.event_log_capacity is not None and self.event_log_capacity < 1:
             raise ValueError(
                 "UvmDriverConfig.event_log_capacity must be None or >= 1, "
                 f"got {self.event_log_capacity}"
-            )
-        if self.steady_state_fastforward and self.event_log_enabled:
-            raise ValueError(
-                "steady_state_fastforward cannot be combined with "
-                "event_log_enabled: replayed iterations emit no log "
-                "entries, so the trace would silently diverge from a "
-                "full simulation"
-            )
-        if self.steady_state_fastforward and self.keep_transfer_records:
-            raise ValueError(
-                "steady_state_fastforward cannot be combined with "
-                "keep_transfer_records (golden-trace mode): replayed "
-                "iterations produce no per-transfer records"
             )

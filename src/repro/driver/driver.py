@@ -94,26 +94,16 @@ class UvmDriver:
         #: Direct GPU-to-GPU interconnect (NVLink/NVSwitch, §2.3).  When
         #: absent, peer migrations bounce through host memory.
         self.p2p_link = p2p_link
-        self.config = config or UvmDriverConfig()
-        self.config.validate()
-        # Policy is fixed for the driver's lifetime; cached as a bool so
-        # the per-touch hot path skips a string compare.
-        self._policy_fifo = self.config.eviction_policy == "fifo"
-        self.traffic = TrafficRecorder(self.config.keep_transfer_records)
+        config = config or UvmDriverConfig()
+        self.traffic = TrafficRecorder()
         self.rmt = RmtClassifier()
         self.counters = Counters()
-        self.log = EventLog(
-            capacity=self.config.event_log_capacity,
-            enabled=self.config.event_log_enabled,
-        )
+        self.log = EventLog(capacity=config.event_log_capacity)
         self.oracle = oracle or DataOracle()
         self.migration = MigrationEngine(
-            env, link, self.traffic, self.rmt,
-            coalesce=self.config.coalesce_transfers,
-            counters=self.counters,
+            env, link, self.traffic, self.rmt, counters=self.counters
         )
-        self.migration.max_retries = self.config.transfer_max_retries
-        self.migration.retry_backoff = self.config.transfer_retry_backoff
+        self._apply_config(config)
         #: Optional fault injector (:class:`repro.chaos.ChaosInjector`).
         #: When set, :meth:`handle_gpu_faults` routes each fault batch
         #: through it so injected storms and reorderings perturb the
@@ -185,14 +175,24 @@ class UvmDriver:
 
         A snapshot carries the *prefix* point's configuration; each fork
         re-applies its own point's knobs before the measured body runs.
-        Derived objects that latch config values at construction time
-        (migration coalescing, event-log gating) are updated in place;
-        accumulated instrument state is deliberately untouched — it is
-        part of the simulation history being continued.
+        Accumulated instrument state is deliberately untouched — it is
+        part of the simulation history being continued.  Knobs baked
+        into the prefix itself (page-table implementation, event-log
+        capacity) are grouped apart by the sweep's prefix key instead.
+        """
+        self._apply_config(config)
+
+    def _apply_config(self, config: UvmDriverConfig) -> None:
+        """Install ``config`` and every value the driver derives from it.
+
+        The one place config-derived state is set, shared by
+        construction and :meth:`reconfigure`, so a forked driver can
+        never keep a value latched from the prefix's config.
         """
         config.validate()
         self.config = config
-        self.migration.coalesce = config.coalesce_transfers
+        # Cached as a bool so the per-touch hot path skips a string compare.
+        self._policy_fifo = config.eviction_policy == "fifo"
         self.migration.max_retries = config.transfer_max_retries
         self.migration.retry_backoff = config.transfer_retry_backoff
         self.log.enabled = config.event_log_enabled
@@ -971,7 +971,6 @@ class UvmDriver:
             fast_evict = (
                 self.chaos is None
                 and not tracer.enabled
-                and migration.coalesce
                 and migration.link._armed_faults == 0
             )
             # Loop-invariant attribute chains, hoisted: in the evicting
@@ -1174,78 +1173,47 @@ class UvmDriver:
                     cost += source.page_table.unmap_block(block.index)
             if cost:
                 yield self.env.timeout(cost)
-            if self.config.coalesce_transfers:
-                # Batched path: acquire every destination frame, move the
-                # whole group as coalesced spans (one ranged operation per
-                # run of contiguous blocks), then remap in one batch —
-                # how the real driver services a multi-block range.
-                source_frames = []
-                new_frames = []
-                for block in group:
-                    source_frames.append(block.frame)
-                    block.frame = None
-                for block in group:
-                    frame = yield from self._acquire_frame(g, own_indices)
-                    new_frames.append(frame)
-                if self.p2p_link is not None:
-                    yield from self.migration.transfer_blocks_peer(
-                        group, self.p2p_link, source.engines, g.engines
-                    )
-                else:
-                    yield from self.migration.transfer_blocks(
-                        group,
-                        TransferDirection.DEVICE_TO_HOST,
-                        reason,
-                        source.engines,
-                    )
-                    yield from self.migration.transfer_blocks(
-                        group,
-                        TransferDirection.HOST_TO_DEVICE,
-                        reason,
-                        g.engines,
-                    )
-                map_cost = 0.0
-                for block, source_frame, new_frame in zip(
-                    group, source_frames, new_frames
-                ):
-                    source.allocator.free(source_frame)
-                    block.frame = new_frame
-                    new_frame.prepared = True
-                    block.residency = g.name
-                    map_cost += g.page_table.map_block(block.index)
-                    self._touch_used(g, block)
-                if map_cost:
-                    yield self.env.timeout(map_cost)
-                continue
-            # Legacy path: one transfer command and remap per block.
+            # Acquire every destination frame, move the whole group as
+            # coalesced spans (one ranged operation per run of contiguous
+            # blocks), then remap in one batch — how the real driver
+            # services a multi-block range.
+            source_frames = []
+            new_frames = []
             for block in group:
-                source_frame = block.frame
+                source_frames.append(block.frame)
                 block.frame = None
-                new_frame = yield from self._acquire_frame(g, own_indices)
-                if self.p2p_link is not None:
-                    yield from self.migration.transfer_blocks_peer(
-                        [block], self.p2p_link, source.engines, g.engines
-                    )
-                else:
-                    yield from self.migration.transfer_blocks(
-                        [block],
-                        TransferDirection.DEVICE_TO_HOST,
-                        reason,
-                        source.engines,
-                    )
-                    yield from self.migration.transfer_blocks(
-                        [block],
-                        TransferDirection.HOST_TO_DEVICE,
-                        reason,
-                        g.engines,
-                    )
+            for block in group:
+                frame = yield from self._acquire_frame(g, own_indices)
+                new_frames.append(frame)
+            if self.p2p_link is not None:
+                yield from self.migration.transfer_blocks_peer(
+                    group, self.p2p_link, source.engines, g.engines
+                )
+            else:
+                yield from self.migration.transfer_blocks(
+                    group,
+                    TransferDirection.DEVICE_TO_HOST,
+                    reason,
+                    source.engines,
+                )
+                yield from self.migration.transfer_blocks(
+                    group,
+                    TransferDirection.HOST_TO_DEVICE,
+                    reason,
+                    g.engines,
+                )
+            map_cost = 0.0
+            for block, source_frame, new_frame in zip(
+                group, source_frames, new_frames
+            ):
                 source.allocator.free(source_frame)
                 block.frame = new_frame
                 new_frame.prepared = True
                 block.residency = g.name
-                map_cost = g.page_table.map_block(block.index)
-                yield self.env.timeout(map_cost)
+                map_cost += g.page_table.map_block(block.index)
                 self._touch_used(g, block)
+            if map_cost:
+                yield self.env.timeout(map_cost)
 
     # ------------------------------------------------------------------
     # fault handling

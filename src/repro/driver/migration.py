@@ -98,19 +98,12 @@ class MigrationEngine:
         link: Link,
         traffic: TrafficRecorder,
         rmt: RmtClassifier,
-        coalesce: bool = True,
         counters: Optional[Counters] = None,
     ) -> None:
         self.env = env
         self.link = link
         self.traffic = traffic
         self.rmt = rmt
-        #: Batch all spans of one transfer under a single copy-engine
-        #: hold (one acquire/release per call instead of per span).  Wire
-        #: times are computed per span either way, so simulated times,
-        #: traffic bytes and RMT counts are identical; only the number of
-        #: host-side engine-arbitration events changes.
-        self.coalesce = coalesce
         self.counters = counters
         #: Simulated-time tracer; the shared no-op singleton when tracing
         #: is off (see :mod:`repro.instrument.trace`).
@@ -192,109 +185,65 @@ class MigrationEngine:
         if not blocks:
             return
         engine = engines.engine_for(direction)
-        if self.coalesce:
-            # Fast path: hold the engine once for the whole batch.  The
-            # uncontended acquire is a synchronous no-event grant.
-            request = engine.try_acquire()
-            if request is None:
-                request = engine.request()
-                yield request
-            env = self.env
-            link = self.link
-            record = self.traffic.record
-            on_transfer = self.rmt.on_transfer
-            tracer = self.tracer
-            try:
-                if len(blocks) == 1 and not tracer.enabled:
-                    # Single-block command (the eviction path emits these
-                    # constantly): skip the sort/coalesce machinery and,
-                    # fault-free, the _timed_command generator frame.
-                    # Identical wire time, traffic and RMT accounting.
-                    block = blocks[0]
-                    span_bytes = block.used_bytes
-                    chunk = (
-                        SMALL_PAGE
-                        if block.split
-                        else (span_bytes if span_bytes < BIG_PAGE else BIG_PAGE)
-                    )
-                    if link._armed_faults:
-                        yield from self._timed_command(link, span_bytes, chunk)
-                    else:
-                        yield env.timeout(
-                            link.transfer_time(span_bytes, chunk=chunk)
-                        )
-                    rec = record(
-                        env.now,
-                        direction,
-                        span_bytes,
-                        reason,
-                        first_block=block.index,
-                        num_blocks=1,
-                        blocks=blocks,
-                    )
-                    on_transfer(
-                        block.index, span_bytes, direction, reason, rec, block
-                    )
-                    return
-                for span in coalesce_spans(blocks):
-                    span_bytes = sum(b.used_bytes for b in span)
-                    chunk = (
-                        SMALL_PAGE if span[0].split else min(span_bytes, BIG_PAGE)
-                    )
-                    started = env.now if tracer.enabled else 0.0
-                    if link._armed_faults:
-                        yield from self._timed_command(link, span_bytes, chunk)
-                    else:
-                        yield env.timeout(
-                            link.transfer_time(span_bytes, chunk=chunk)
-                        )
-                    if tracer.enabled:
-                        self._trace_command(
-                            f"link/{direction.value}",
-                            reason.value,
-                            started,
-                            span_bytes,
-                            span[0].index,
-                            len(span),
-                        )
-                    rec = record(
-                        env.now,
-                        direction,
-                        span_bytes,
-                        reason,
-                        first_block=span[0].index,
-                        num_blocks=len(span),
-                        blocks=span,
-                    )
-                    for block in span:
-                        on_transfer(
-                            block.index,
-                            block.used_bytes,
-                            direction,
-                            reason,
-                            rec,
-                            block,
-                        )
-            finally:
-                engine.release(request)
-            return
-        # Legacy per-span path.  The engine is still held for the whole
-        # batch: releasing it between spans would let a queued transfer
-        # (e.g. a prefetch) jump into the middle of a fault batch, which
-        # the batched path above never allows — the two modes must stay
-        # bit-for-bit identical (test_golden_trace_invariant_to_coalescing).
-        request = engine.request()
-        yield request
+        # Hold the engine for the whole batch, so no queued transfer (e.g.
+        # a prefetch) can slip in between the spans of a fault batch.  The
+        # uncontended acquire is a synchronous no-event grant.
+        request = engine.try_acquire()
+        if request is None:
+            request = engine.request()
+            yield request
+        env = self.env
+        link = self.link
+        record = self.traffic.record
+        on_transfer = self.rmt.on_transfer
+        tracer = self.tracer
         try:
+            if len(blocks) == 1 and not tracer.enabled:
+                # Single-block command (the eviction path emits these
+                # constantly): skip the sort/coalesce machinery and,
+                # fault-free, the _timed_command generator frame.
+                # Identical wire time, traffic and RMT accounting.
+                block = blocks[0]
+                span_bytes = block.used_bytes
+                chunk = (
+                    SMALL_PAGE
+                    if block.split
+                    else (span_bytes if span_bytes < BIG_PAGE else BIG_PAGE)
+                )
+                if link._armed_faults:
+                    yield from self._timed_command(link, span_bytes, chunk)
+                else:
+                    yield env.timeout(
+                        link.transfer_time(span_bytes, chunk=chunk)
+                    )
+                rec = record(
+                    env.now,
+                    direction,
+                    span_bytes,
+                    reason,
+                    first_block=block.index,
+                    num_blocks=1,
+                    blocks=blocks,
+                )
+                on_transfer(
+                    block.index, span_bytes, direction, reason, rec, block
+                )
+                return
             for span in coalesce_spans(blocks):
                 span_bytes = sum(b.used_bytes for b in span)
                 # §5.4: a block whose 2 MiB mapping was split moves in
                 # 4 KiB pieces — the higher-cost transfer the alignment
                 # policy exists to avoid.
-                chunk = SMALL_PAGE if span[0].split else min(span_bytes, BIG_PAGE)
-                tracer = self.tracer
-                started = self.env.now if tracer.enabled else 0.0
-                yield from self._timed_command(self.link, span_bytes, chunk)
+                chunk = (
+                    SMALL_PAGE if span[0].split else min(span_bytes, BIG_PAGE)
+                )
+                started = env.now if tracer.enabled else 0.0
+                if link._armed_faults:
+                    yield from self._timed_command(link, span_bytes, chunk)
+                else:
+                    yield env.timeout(
+                        link.transfer_time(span_bytes, chunk=chunk)
+                    )
                 if tracer.enabled:
                     self._trace_command(
                         f"link/{direction.value}",
@@ -304,8 +253,8 @@ class MigrationEngine:
                         span[0].index,
                         len(span),
                     )
-                rec = self.traffic.record(
-                    self.env.now,
+                rec = record(
+                    env.now,
                     direction,
                     span_bytes,
                     reason,
@@ -314,8 +263,13 @@ class MigrationEngine:
                     blocks=span,
                 )
                 for block in span:
-                    self.rmt.on_transfer(
-                        block.index, block.used_bytes, direction, reason, rec, block
+                    on_transfer(
+                        block.index,
+                        block.used_bytes,
+                        direction,
+                        reason,
+                        rec,
+                        block,
                     )
         finally:
             engine.release(request)
@@ -335,65 +289,20 @@ class MigrationEngine:
         """
         if not blocks:
             return
-        if self.coalesce:
-            out_request = source_engines.d2h.try_acquire()
-            if out_request is None:
-                out_request = source_engines.d2h.request()
-                yield out_request
-            in_request = destination_engines.h2d.try_acquire()
-            if in_request is None:
-                in_request = destination_engines.h2d.request()
-                yield in_request
-            env = self.env
-            tracer = self.tracer
-            try:
-                for span in coalesce_spans(blocks):
-                    span_bytes = sum(b.used_bytes for b in span)
-                    started = env.now if tracer.enabled else 0.0
-                    yield from self._timed_command(p2p_link, span_bytes, BIG_PAGE)
-                    if tracer.enabled:
-                        self._trace_command(
-                            "link/p2p",
-                            TransferReason.FAULT_MIGRATION.value,
-                            started,
-                            span_bytes,
-                            span[0].index,
-                            len(span),
-                        )
-                    rec = self.traffic.record(
-                        env.now,
-                        TransferDirection.DEVICE_TO_DEVICE,
-                        span_bytes,
-                        TransferReason.FAULT_MIGRATION,
-                        first_block=span[0].index,
-                        num_blocks=len(span),
-                        blocks=span,
-                    )
-                    for block in span:
-                        self.rmt.on_transfer(
-                            block.index,
-                            block.used_bytes,
-                            TransferDirection.DEVICE_TO_DEVICE,
-                            TransferReason.FAULT_MIGRATION,
-                            rec,
-                            block,
-                        )
-            finally:
-                source_engines.d2h.release(out_request)
-                destination_engines.h2d.release(in_request)
-            return
-        # Legacy per-span path: both engines are held for the whole
-        # batch, mirroring the batched path above, so span boundaries
-        # never admit another transfer mid-batch.
-        out_request = source_engines.d2h.request()
-        yield out_request
-        in_request = destination_engines.h2d.request()
-        yield in_request
+        out_request = source_engines.d2h.try_acquire()
+        if out_request is None:
+            out_request = source_engines.d2h.request()
+            yield out_request
+        in_request = destination_engines.h2d.try_acquire()
+        if in_request is None:
+            in_request = destination_engines.h2d.request()
+            yield in_request
+        env = self.env
+        tracer = self.tracer
         try:
             for span in coalesce_spans(blocks):
                 span_bytes = sum(b.used_bytes for b in span)
-                tracer = self.tracer
-                started = self.env.now if tracer.enabled else 0.0
+                started = env.now if tracer.enabled else 0.0
                 yield from self._timed_command(p2p_link, span_bytes, BIG_PAGE)
                 if tracer.enabled:
                     self._trace_command(
@@ -405,7 +314,7 @@ class MigrationEngine:
                         len(span),
                     )
                 rec = self.traffic.record(
-                    self.env.now,
+                    env.now,
                     TransferDirection.DEVICE_TO_DEVICE,
                     span_bytes,
                     TransferReason.FAULT_MIGRATION,

@@ -33,8 +33,8 @@ little uniformity for speed:
   single-heap engine — the now-queue only removes the O(log n) sift
   cost from events that could never sort before the current time.
 
-Both arenas live on the :class:`Environment` and are ordinary state to
-``deepcopy``, so a forked :class:`~repro.engine.snapshot.EngineSnapshot`
+Both arenas live on the :class:`Environment` and are ordinary pickled
+state, so a forked :class:`~repro.engine.snapshot.EngineSnapshot`
 inherits warm pools and keeps reusing them.
 """
 
@@ -61,21 +61,15 @@ from repro.errors import SimulationError, SnapshotError
 class _PendingType:
     """Sentinel distinguishing "no value yet" from a legitimate ``None``.
 
-    A dedicated class (instead of a bare ``object()``) so that deep
-    copies *and pickles* of snapshotted event graphs preserve
+    A dedicated class (instead of a bare ``object()``) so that pickles
+    of snapshotted event graphs (the serialize-once blob transport,
+    :meth:`repro.engine.snapshot.EngineSnapshot.to_blob`) preserve
     *identity*: ``is`` checks against the sentinel must keep working in
-    a forked run, whether the fork came from ``copy.deepcopy`` or from
-    the serialize-once blob transport
-    (:meth:`repro.engine.snapshot.EngineSnapshot.to_blob`).
+    a forked run.  ``copy.deepcopy`` goes through the same
+    ``__reduce__`` and returns the singleton too.
     """
 
     __slots__ = ()
-
-    def __copy__(self) -> "_PendingType":
-        return self
-
-    def __deepcopy__(self, memo) -> "_PendingType":
-        return self
 
     def __reduce__(self):
         # Unpickle to the module-level singleton, never a new instance.
@@ -256,37 +250,12 @@ class Process(Event):
     def __call__(self, event: Event) -> None:
         self._resume(event)
 
-    def __deepcopy__(self, memo: dict) -> "Process":
-        # Generator frames cannot be deep-copied, so only *finished*
-        # processes (whose generators are exhausted and droppable) may
-        # appear in a snapshot graph.  Finished processes linger as
-        # stream tails and event values; the copy keeps their outcome
-        # but sheds the dead generator.
-        import copy as _copy
-
-        if self.callbacks is not None:
-            raise SnapshotError(
-                "cannot deep-copy a live process; snapshots are only "
-                "legal at quiescence (empty event heap, every process "
-                "finished)"
-            )
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        clone.env = _copy.deepcopy(self.env, memo)
-        clone.callbacks = None
-        clone._value = _copy.deepcopy(self._value, memo)
-        clone._exception = _copy.deepcopy(self._exception, memo)
-        clone._scheduled = self._scheduled
-        clone._generator = None
-        clone._target = None
-        clone._resume_cb = clone._resume
-        return clone
-
-    # Pickle parity with __deepcopy__: the serialize-once snapshot
-    # transport (EngineSnapshot.to_blob) pickles the live quiescent
-    # graph directly, so pickling must shed the exhausted generator the
-    # same way a deep copy does — and refuse live processes with the
-    # same SnapshotError instead of pickle's opaque TypeError.
+    # Snapshot support: the serialize-once transport
+    # (EngineSnapshot.to_blob) pickles the quiescent graph directly.
+    # Finished processes linger as stream tails and event values; their
+    # pickles keep the outcome but shed the exhausted generator, and a
+    # live process refuses with SnapshotError instead of pickle's opaque
+    # TypeError.  copy.deepcopy follows the same protocol.
 
     def __getstate__(self):
         if self.callbacks is not None:
@@ -465,23 +434,6 @@ class Environment:
         sampled by the metrics monitor.  Includes cancelled-but-unpopped
         heap entries, matching what the run loop actually holds."""
         return len(self._now_queue) + sum(map(len, self._buckets.values()))
-
-    def advance(self, delta: float) -> None:
-        """Jump the clock forward by ``delta`` seconds.
-
-        Only legal at quiescence: with events on the heap the jump would
-        make their scheduled times lie in the past.  Used by the
-        steady-state fast-forward to replay a verified per-iteration
-        time delta without re-simulating the events behind it.
-        """
-        if delta < 0:
-            raise ValueError(f"cannot advance time backwards: {delta}")
-        if self._heap or self._now_queue:
-            raise SimulationError(
-                "advance() with events on the heap would move scheduled "
-                "times into the past"
-            )
-        self._now += delta
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         sequence = self._sequence

@@ -8,33 +8,30 @@ the instruments (traffic, RMT, counters, event log) and the GPU
 executors — by pickling it **exactly once** into an immutable blob.
 :meth:`EngineSnapshot.fork` is then a single ``pickle.loads`` of that
 blob, yielding an independent restored simulation that continues
-*bit-for-bit* like the original would have.  Deserializing the blob is
-several times cheaper than the :func:`copy.deepcopy` it replaced, and —
-critically — the blob is a portable artifact: it can cross process
-boundaries through the file-backed :class:`BlobStore`, so a popular
-setup prefix is built once per *host* instead of once per worker.
+*bit-for-bit* like the original would have.  The blob is also a
+portable artifact: it can cross process boundaries through the
+file-backed :class:`BlobStore`, so a popular setup prefix is built once
+per *host* instead of once per worker.
 
 The one restriction is **quiescence**: Python generator frames (live
 processes) cannot be copied or pickled, so a snapshot may only be taken
 when the event heap is empty and every process has finished.  The sweep
 harness arranges exactly that by splitting workloads into a CPU-only
-setup prefix and a measured body (see :mod:`repro.harness.sweep`); the
+setup prefix and a measured body (see :mod:`repro.harness.pipeline`); the
 boundary between them is quiescent by construction because host-side
 setup is fully synchronous.
 
 Three details make the restored copy exact:
 
-- :meth:`Process.__deepcopy__ <repro.engine.core.Process.__deepcopy__>`
-  and its pickle twin ``Process.__getstate__`` keep a finished
-  process's outcome (streams hold their tail processes forever) while
-  shedding the exhausted generator — and raise
-  :class:`~repro.errors.SnapshotError` if a *live* process sneaks into
-  the graph, so a non-quiescent snapshot fails loudly instead of
-  corrupting silently.
-- the engine's ``_PENDING`` sentinel preserves identity across both
-  deepcopy and pickling (``_PendingType.__reduce__`` restores the
-  module singleton), so ``is``-based "value not set" checks keep
-  working in the fork.
+- ``Process.__getstate__`` keeps a finished process's outcome (streams
+  hold their tail processes forever) while shedding the exhausted
+  generator — and raises :class:`~repro.errors.SnapshotError` if a
+  *live* process sneaks into the graph, so a non-quiescent snapshot
+  fails loudly instead of corrupting silently.
+- the engine's ``_PENDING`` sentinel preserves identity across
+  pickling (``_PendingType.__reduce__`` restores the module
+  singleton), so ``is``-based "value not set" checks keep working in
+  the fork.
 - ``NULL_TRACER`` likewise unpickles to the module singleton, so
   untraced runs stay on the zero-cost no-op path after a fork.
 

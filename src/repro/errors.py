@@ -22,8 +22,8 @@ class SnapshotError(SimulationError):
 
     Snapshots are only legal at *quiescence* — an empty event heap with
     every process finished — because live generator frames cannot be
-    deep-copied.  Raised by :mod:`repro.engine.snapshot` and by
-    :meth:`~repro.engine.core.Process.__deepcopy__`.
+    pickled.  Raised by :mod:`repro.engine.snapshot` and by
+    :meth:`~repro.engine.core.Process.__getstate__`.
     """
 
 

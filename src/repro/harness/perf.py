@@ -2,7 +2,7 @@
 
 The rest of ``repro.harness`` measures the *simulated* machine; this
 module measures the *simulator* — how many host-side seconds one
-simulated experiment costs.  Five benchmarks cover the layers the fast
+simulated experiment costs.  Four benchmarks cover the layers the fast
 path touches:
 
 - ``engine_churn`` — pure :mod:`repro.engine` event traffic (timeouts,
@@ -16,12 +16,7 @@ path touches:
   cold (no result cache).  The end-to-end number CI trends.
 - ``snapshot_fork`` — the snapshot transport in isolation: serialize
   one warm VGG-16 prefix once, then fork it repeatedly via the blob
-  (``pickle.loads``) and via ``copy.deepcopy``; ``fork_speedup``
-  records blob-over-deepcopy and is gated >= 2x in perf-smoke.
-- ``sweep_prefix`` — a 12-point DL grid sharing one setup prefix, run
-  grouped (snapshot/fork + steady-state fast-forward) and cold; the
-  gated wall time is the grouped run, with ``cold_wall_seconds`` and
-  ``speedup`` recording the win over per-point execution.
+  (``pickle.loads``).
 
 ``python -m repro profile`` runs the suite and writes
 ``BENCH_engine.json``; ``--check`` compares against a committed
@@ -149,28 +144,20 @@ def _bench_macro_vgg16() -> Dict[str, float]:
 
 
 def _bench_snapshot_fork() -> Dict[str, float]:
-    """The snapshot transport in isolation: blob fork vs deepcopy fork.
+    """The snapshot transport in isolation: repeated blob forks.
 
     Builds one warm VGG-16 setup prefix, serializes it exactly once
     (:class:`~repro.engine.snapshot.EngineSnapshot`), then forks it
-    repeatedly both ways.  ``wall_seconds`` — the gated metric — is the
-    blob-fork loop; ``deepcopy_wall_seconds`` times the transport the
-    blob replaced and ``fork_speedup`` is the ratio perf-smoke gates
-    at >= 2x.  ``serialize_wall_seconds`` (paid once per prefix) and
+    repeatedly.  ``wall_seconds`` — the gated metric — is the fork
+    loop; ``serialize_wall_seconds`` (paid once per prefix) and
     ``prefix_build_wall_seconds`` (the simulation cost a shared blob
-    amortizes away per worker) size the build amortization.
+    amortizes away per worker) size the build amortization.  One last
+    fork runs the measured body through the pipeline, so the timed
+    forks are known to be usable.
     """
-    import copy
-
     from repro.engine.snapshot import EngineSnapshot
-    from repro.harness.runner import run_uvm_prefix
-    from repro.harness.sweep import (
-        SweepPoint,
-        _driver_config,
-        _gpu_spec,
-        _link,
-        _point_plan,
-    )
+    from repro.harness.pipeline import build_prefix, plan_for, simulate
+    from repro.harness.sweep import SweepPoint
 
     point = SweepPoint(
         workload="dl:vgg16",
@@ -179,12 +166,9 @@ def _bench_snapshot_fork() -> Dict[str, float]:
         scale=0.03125,
         batches=12,
     )
-    plan = _point_plan(point)
+    plan = plan_for(point)
     start = time.perf_counter()
-    runtime = run_uvm_prefix(
-        plan.setup, _gpu_spec(point), _link(point),
-        driver_config=_driver_config(point),
-    )
+    runtime = build_prefix(plan)
     prefix_wall = time.perf_counter() - start
     start = time.perf_counter()
     snapshot = EngineSnapshot(runtime)
@@ -192,97 +176,18 @@ def _bench_snapshot_fork() -> Dict[str, float]:
     forks = 40
     start = time.perf_counter()
     for _ in range(forks):
-        copy.deepcopy(runtime)
-    deepcopy_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    for _ in range(forks):
         snapshot.fork()
     blob_wall = time.perf_counter() - start
+    result, _ = simulate(plan, snapshot)
+    assert result is not None
     return {
         # Overrides the harness's whole-body timing: the gated wall
-        # time is the blob-fork loop, not the comparison scaffolding.
+        # time is the fork loop, not the build or the check.
         "wall_seconds": blob_wall,
-        "deepcopy_wall_seconds": deepcopy_wall,
-        "fork_speedup": deepcopy_wall / blob_wall if blob_wall > 0 else 0.0,
         "serialize_wall_seconds": serialize_wall,
         "prefix_build_wall_seconds": prefix_wall,
         "blob_bytes": float(snapshot.payload_nbytes()),
         "forks": float(forks),
-    }
-
-
-def _sweep_prefix_points() -> List["object"]:
-    """The 12-point grid behind ``sweep_prefix``: one shared setup
-    prefix (VGG-16, batch 8, 20 mini-batches) fanned across 3 UVM
-    systems x 4 setup-inert driver variants."""
-    from repro.harness.sweep import SweepPoint
-
-    systems = ("UVM-opt", "UvmDiscard", "UvmDiscardLazy")
-    variants = (
-        {},
-        {"eviction_policy": "fifo"},
-        {"coalesce_transfers": False},
-        {"discarded_queue_enabled": False},
-    )
-    return [
-        SweepPoint(
-            workload="dl:vgg16",
-            system=system,
-            batch_size=8,
-            scale=0.03125,
-            batches=20,
-            driver={"steady_state_fastforward": True, **variant},
-        )
-        for system in systems
-        for variant in variants
-    ]
-
-
-def _bench_sweep_prefix() -> Dict[str, float]:
-    """Shared-prefix forking + steady-state fast-forward vs cold runs.
-
-    Times a 12-point DL grid twice: cold (per-point ``execute_point``
-    with fast-forward stripped) and grouped (``execute_group``: one
-    setup prefix, snapshot, 12 forks, fast-forwarded training loops).
-    ``wall_seconds`` — the gated metric — is the *grouped* time;
-    ``cold_wall_seconds`` and the derived ``speedup`` give CI the
-    ISSUE-level ">= 3x faster than per-point execution" check.  The
-    deterministic companions sum simulated traffic and elapsed time
-    over the grouped results.
-    """
-    import dataclasses
-
-    from repro.harness.sweep import SweepPoint, execute_group, execute_point
-
-    points = _sweep_prefix_points()
-    cold_points = [
-        dataclasses.replace(
-            p,
-            driver=tuple(
-                (k, v) for k, v in p.driver if k != "steady_state_fastforward"
-            ),
-        )
-        for p in points
-    ]
-    start = time.perf_counter()
-    cold = [execute_point(p) for p in cold_points]
-    cold_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    grouped = execute_group(points)
-    forked_wall = time.perf_counter() - start
-    assert all(r is not None for r in grouped)
-    # Integer observables must agree between the cold and grouped runs;
-    # a mismatch means the optimization changed simulation results.
-    for c, g in zip(cold, grouped):
-        assert c.counters == g.counters, "fork/fast-forward diverged"
-    return {
-        # Overrides the harness's whole-body timing (the body times two
-        # variants internally): the gated wall time is the grouped run.
-        "wall_seconds": forked_wall,
-        "cold_wall_seconds": cold_wall,
-        "speedup": cold_wall / forked_wall if forked_wall > 0 else 0.0,
-        "traffic_gb": sum(r.traffic_gb for r in grouped),
-        "sim_elapsed_seconds": sum(r.elapsed_seconds for r in grouped),
     }
 
 
@@ -291,7 +196,6 @@ BENCHMARKS: Dict[str, Callable[[], Dict[str, float]]] = {
     "fault_storm": _bench_fault_storm,
     "macro_vgg16": _bench_macro_vgg16,
     "snapshot_fork": _bench_snapshot_fork,
-    "sweep_prefix": _bench_sweep_prefix,
 }
 
 #: Metrics that legitimately differ run-to-run (host wall clock and its
@@ -301,10 +205,6 @@ BENCHMARKS: Dict[str, Callable[[], Dict[str, float]]] = {
 #: runs/machines.
 NONDETERMINISTIC_KEYS = (
     "wall_seconds",
-    "cold_wall_seconds",
-    "speedup",
-    "deepcopy_wall_seconds",
-    "fork_speedup",
     "serialize_wall_seconds",
     "prefix_build_wall_seconds",
     "blob_bytes",
@@ -326,7 +226,7 @@ def run_benchmarks(
     Returns ``{name: {"wall_seconds": ..., <metrics>...}}``.  The
     deterministic metrics come from the fastest repeat (they are
     identical across repeats by construction).  A body that times
-    sub-phases itself (``sweep_prefix``) may return its own
+    sub-phases itself (``snapshot_fork``) may return its own
     ``wall_seconds``, which overrides the harness's whole-body timing.
     """
     selected = list(names) if names is not None else list(BENCHMARKS)

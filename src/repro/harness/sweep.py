@@ -9,7 +9,8 @@ x driver config).  This module is the one engine that runs such grids:
 - :class:`SweepGrid` expands a compact grid spec into points,
 - :func:`execute_point` runs one point to an
   :class:`~repro.harness.results.ExperimentResult` (or ``None`` when the
-  configuration does not fit, e.g. No-UVM under oversubscription),
+  configuration does not fit, e.g. No-UVM under oversubscription)
+  through the one simulation pipeline (:mod:`repro.harness.pipeline`),
 - :class:`ResultCache` memoizes finished points on disk, keyed by a
   stable content hash of the *full* point configuration, so re-running a
   sweep only simulates points whose inputs changed,
@@ -45,6 +46,13 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.harness.pipeline import (
+    GPU_FACTORIES,
+    LINK_FACTORIES,
+    build_prefix,
+    plan_for,
+    simulate,
+)
 from repro.harness.results import ExperimentResult
 from repro.harness.runner import ratio_label
 from repro.harness.systems import System
@@ -89,8 +97,8 @@ UVMBENCH_WORKLOADS = ("bfs", "kmeans", "knn", "stencil", "reduction")
 #: Every ratio-configured (non-DL) workload the sweep engine accepts.
 MICRO_WORKLOADS = PAPER_MICRO_WORKLOADS + UVMBENCH_WORKLOADS
 
-LINK_NAMES = ("gen3", "gen4")
-GPU_NAMES = ("rtx3080ti", "gtx1070", "a100")
+LINK_NAMES = tuple(LINK_FACTORIES)
+GPU_NAMES = tuple(GPU_FACTORIES)
 
 _SYSTEM_VALUES = {s.value for s in System}
 _SYSTEM_BY_NAME = {s.name: s.value for s in System}
@@ -367,120 +375,6 @@ class SweepGrid:
 # ----------------------------------------------------------------------
 
 
-def _gpu_spec(point: SweepPoint):
-    from repro.cuda.device import a100_40gb, gtx_1070, rtx_3080ti
-
-    factory = {"rtx3080ti": rtx_3080ti, "gtx1070": gtx_1070, "a100": a100_40gb}
-    return factory[point.gpu]().scaled(point.scale)
-
-
-def _link(point: SweepPoint):
-    from repro.interconnect import pcie_gen3, pcie_gen4
-
-    return {"gen3": pcie_gen3, "gen4": pcie_gen4}[point.link]()
-
-
-def _driver_config(point: SweepPoint):
-    if not point.driver:
-        return None
-    from repro.driver.config import UvmDriverConfig
-
-    try:
-        return UvmDriverConfig(**dict(point.driver))
-    except TypeError as exc:
-        raise ConfigurationError(f"bad driver override: {exc}") from None
-
-
-def _dl_trainer(point: SweepPoint, system: System):
-    from repro.workloads.dl import DarknetTrainer, TrainerConfig
-    from repro.workloads.dl import darknet19, resnet53, rnn_shakespeare, vgg16
-
-    factory = {
-        "vgg16": vgg16, "darknet19": darknet19,
-        "resnet53": resnet53, "rnn": rnn_shakespeare,
-    }[point.workload.split(":", 1)[1]]
-    if point.batches is None:
-        trainer_config = TrainerConfig(batch_size=point.batch_size)
-    else:
-        trainer_config = TrainerConfig(
-            batch_size=point.batch_size, batches=point.batches
-        )
-    return DarknetTrainer(factory().scaled(point.scale), trainer_config, system)
-
-
-def _micro_factories():
-    from repro.workloads.bfs import BfsConfig, BfsWorkload
-    from repro.workloads.fir import FirConfig, FirWorkload
-    from repro.workloads.hash_join import HashJoinConfig, HashJoinWorkload
-    from repro.workloads.kmeans import KMeansConfig, KMeansWorkload
-    from repro.workloads.knn import KnnConfig, KnnWorkload
-    from repro.workloads.radix_sort import RadixSortConfig, RadixSortWorkload
-    from repro.workloads.reduction import ReductionConfig, ReductionWorkload
-    from repro.workloads.stencil import StencilConfig, StencilWorkload
-
-    return {
-        "fir": (FirWorkload, FirConfig),
-        "radix": (RadixSortWorkload, RadixSortConfig),
-        "hashjoin": (HashJoinWorkload, HashJoinConfig),
-        "bfs": (BfsWorkload, BfsConfig),
-        "kmeans": (KMeansWorkload, KMeansConfig),
-        "knn": (KnnWorkload, KnnConfig),
-        "stencil": (StencilWorkload, StencilConfig),
-        "reduction": (ReductionWorkload, ReductionConfig),
-    }
-
-
-def _micro_workload(point: SweepPoint):
-    workload_cls, config_cls = _micro_factories()[point.workload]
-    return workload_cls(config_cls().scaled(point.scale))
-
-
-def _install_chaos(runtime, point: SweepPoint):
-    """Build and install the point's injector; ``None`` when chaos-free."""
-    if not point.chaos:
-        return None
-    from repro.chaos.injector import ChaosInjector
-    from repro.chaos.schedule import ChaosConfig
-
-    return ChaosInjector(ChaosConfig.from_items(point.chaos)).install(runtime)
-
-
-def _execute_chaos_point(
-    point: SweepPoint, gpu, link, driver_config
-) -> Optional[ExperimentResult]:
-    """Cold run of a chaos point, always split-phase.
-
-    The injector attaches only after the (chaos-free) setup prefix —
-    exactly where :func:`execute_group` attaches it on a snapshot fork —
-    so cold and forked chaos runs see identical injection schedules.
-    """
-    from repro.harness.runner import run_uvm_body, run_uvm_prefix
-
-    plan = _point_plan(point)
-    if plan is None:  # pragma: no cover - chaos+No-UVM rejected earlier
-        raise ConfigurationError(f"{point.label}: chaos needs a UVM system")
-    try:
-        runtime = run_uvm_prefix(plan.setup, gpu, link, driver_config=driver_config)
-    except OutOfMemoryError:
-        return None
-    injector = _install_chaos(runtime, point)
-    try:
-        return run_uvm_body(
-            runtime,
-            plan.body,
-            plan.system,
-            plan.config_label,
-            plan.app_bytes,
-            plan.ratio,
-            metric=plan.metric,
-        )
-    except OutOfMemoryError:
-        return None
-    finally:
-        if injector is not None:
-            injector.uninstall()
-
-
 def execute_point(point: SweepPoint) -> Optional[ExperimentResult]:
     """Resolve one point; ``None`` when the configuration does not fit
     (the paper's No-UVM OOM crash under oversubscription).
@@ -494,22 +388,7 @@ def execute_point(point: SweepPoint) -> Optional[ExperimentResult]:
         from repro.fastmodel import predict_point
 
         return predict_point(point)
-    system = System(point.system)
-    gpu = _gpu_spec(point)
-    link = _link(point)
-    driver_config = _driver_config(point)
-    if point.chaos:
-        return _execute_chaos_point(point, gpu, link, driver_config)
-    try:
-        if point.is_dl:
-            trainer = _dl_trainer(point, system)
-            return trainer.run(gpu, link, driver_config=driver_config)
-        workload = _micro_workload(point)
-        return workload.run(
-            system, point.ratio, gpu, link, driver_config=driver_config
-        )
-    except OutOfMemoryError:
-        return None
+    return simulate(plan_for(point))[0]
 
 
 # ----------------------------------------------------------------------
@@ -517,9 +396,10 @@ def execute_point(point: SweepPoint) -> Optional[ExperimentResult]:
 # ----------------------------------------------------------------------
 
 #: Driver-config fields that influence the *setup* prefix (CPU faults
-#: during host initialization, instrumentation that records them).  Two
-#: points may share one prefix snapshot only when these agree; every
-#: other knob is setup-inert and is re-applied per fork via
+#: during host initialization, instrumentation that records them, and
+#: the page-table implementation, fixed when the prefix builds its
+#: tables).  Two points may share one prefix snapshot only when these
+#: agree; every other knob is setup-inert and is re-applied per fork via
 #: :meth:`~repro.driver.driver.UvmDriver.reconfigure`.
 SETUP_AFFECTING_DRIVER_KEYS = frozenset(
     {
@@ -527,6 +407,7 @@ SETUP_AFFECTING_DRIVER_KEYS = frozenset(
         "event_log_enabled",
         "event_log_capacity",
         "keep_transfer_records",
+        "vectorized",
     }
 )
 
@@ -535,13 +416,13 @@ def prefix_key(point: SweepPoint) -> Optional[Tuple]:
     """Grouping key for points that can share one setup-prefix snapshot,
     or ``None`` when the point must run cold.
 
-    ``None`` cases: No-UVM (monolithic program, no split), and points
-    that opt out via a ``snapshot_reuse=False`` driver override.  The
-    key deliberately excludes ``system`` (all UVM systems share the
-    same CPU-only setup), ``ratio`` (the oversubscription occupant is
-    reserved after forking and costs no simulated time), and ``chaos``
-    (the injector installs per fork, after the shared prefix — setup is
-    always simulated fault-free).
+    ``None`` cases: fast-mode points (nothing to simulate) and No-UVM
+    (its one program has no shareable setup).  The key deliberately
+    excludes ``system`` (all UVM systems share the same CPU-only
+    setup), ``ratio`` (the oversubscription occupant is reserved after
+    forking and costs no simulated time), and ``chaos`` (the injector
+    installs per fork, after the shared prefix — setup is always
+    simulated fault-free).
     """
     if point.mode == "fast":
         # Analytical points never simulate, so there is no prefix to
@@ -549,9 +430,6 @@ def prefix_key(point: SweepPoint) -> Optional[Tuple]:
         # snapshot pools onto the plain execute_point dispatch.
         return None
     if System(point.system) is System.NO_UVM:
-        return None
-    overrides = dict(point.driver)
-    if overrides.get("snapshot_reuse") is False:
         return None
     setup_overrides = tuple(
         (k, v)
@@ -566,46 +444,6 @@ def prefix_key(point: SweepPoint) -> Optional[Tuple]:
         point.batch_size,
         point.batches,
         setup_overrides,
-    )
-
-
-@dataclass
-class _PointPlan:
-    """A point decomposed into the split-phase protocol."""
-
-    setup: Callable
-    body: Callable
-    system: str
-    config_label: str
-    app_bytes: int
-    ratio: float
-    metric: Optional[Callable] = None
-
-
-def _point_plan(point: SweepPoint) -> Optional[_PointPlan]:
-    """Split-phase plan for ``point``; ``None`` when unsupported."""
-    system = System(point.system)
-    if system is System.NO_UVM:
-        return None
-    if point.is_dl:
-        trainer = _dl_trainer(point, system)
-        return _PointPlan(
-            setup=trainer.setup_program(),
-            body=trainer.body_program(),
-            system=system.value,
-            config_label=f"bs={point.batch_size}",
-            app_bytes=trainer.app_bytes,
-            ratio=1.0,  # DL oversubscribes via batch size, not an occupant
-            metric=trainer.images_per_second,
-        )
-    workload = _micro_workload(point)
-    return _PointPlan(
-        setup=workload.setup_program(),
-        body=workload.body_program(system),
-        system=system.value,
-        config_label=ratio_label(point.ratio),
-        app_bytes=workload.config.app_bytes,
-        ratio=point.ratio,
     )
 
 
@@ -631,33 +469,18 @@ def execute_group(
     single-point group forks from the shared snapshot (that is the
     whole point of splitting groups across workers).
     """
-    from repro.driver.config import UvmDriverConfig
     from repro.engine.snapshot import resolve_prefix_snapshot
-    from repro.harness.runner import run_uvm_body, run_uvm_prefix
 
     points = list(points)
-    plans = [_point_plan(point) for point in points]
     shared = pool is not None or blob_store is not None
-    if len(points) < (1 if shared else 2) or any(
-        plan is None for plan in plans
-    ):
+    key = prefix_key(points[0]) if points else None
+    if key is None or len(points) < (1 if shared else 2):
         return [execute_point(point) for point in points]
-    key = prefix_key(points[0])
-    if key is None:
-        # Ungroupable points (fast mode, No-UVM, opted out) have no
-        # prefix to share at any scope.
-        if shared:
-            return [execute_point(point) for point in points]
-        pool = blob_store = None
+    plans = [plan_for(point) for point in points]
 
     def build():
         try:
-            return run_uvm_prefix(
-                plans[0].setup,
-                _gpu_spec(points[0]),
-                _link(points[0]),
-                driver_config=_driver_config(points[0]),
-            )
+            return build_prefix(plans[0])
         except OutOfMemoryError:
             return None
 
@@ -666,40 +489,19 @@ def execute_group(
     )
     if snapshot is None:
         return [execute_point(point) for point in points]
-    results: List[Optional[ExperimentResult]] = []
-    for point, plan in zip(points, plans):
-        forked = snapshot.fork()
-        forked.driver.reconfigure(_driver_config(point) or UvmDriverConfig())
-        # Chaos installs per fork, after the shared chaos-free prefix, so
-        # chaos points group with fault-free points (see prefix_key).
-        injector = _install_chaos(forked, point)
-        try:
-            results.append(
-                run_uvm_body(
-                    forked,
-                    plan.body,
-                    plan.system,
-                    plan.config_label,
-                    plan.app_bytes,
-                    plan.ratio,
-                    metric=plan.metric,
-                )
-            )
-        except OutOfMemoryError:
-            results.append(None)
-        finally:
-            if injector is not None:
-                injector.uninstall()
-    return results
+    # Each fork re-applies its point's full driver config and installs
+    # its own instruments after the shared prefix (see simulate).
+    return [simulate(plan, snapshot)[0] for plan in plans]
 
 
-def _outcome_to_dict(result: Optional[ExperimentResult]) -> Dict[str, object]:
+def outcome_to_dict(result: Optional[ExperimentResult]) -> Dict[str, object]:
+    """The JSON outcome the cache stores and the server returns."""
     if result is None:
         return {"status": "oom"}
     return {"status": "ok", "result": result.to_dict()}
 
 
-def _outcome_from_dict(outcome: object) -> Optional[ExperimentResult]:
+def outcome_from_dict(outcome: object) -> Optional[ExperimentResult]:
     """Decode a stored outcome; raises on any corrupt/foreign shape."""
     if not isinstance(outcome, dict):
         raise ValueError(f"outcome is not an object: {outcome!r}")
@@ -709,13 +511,6 @@ def _outcome_from_dict(outcome: object) -> Optional[ExperimentResult]:
     if status != "ok":
         raise ValueError(f"unknown outcome status: {status!r}")
     return ExperimentResult.from_dict(outcome["result"])
-
-
-def _pool_worker(item: Tuple[int, Dict[str, object]]) -> Tuple[int, Dict[str, object]]:
-    """Top-level (picklable) worker: simulate one point in a subprocess."""
-    index, point_dict = item
-    point = SweepPoint.from_dict(point_dict)
-    return index, _outcome_to_dict(execute_point(point))
 
 
 #: Per-worker-process snapshot pool, lazily built on first grouped work
@@ -747,16 +542,16 @@ def _pool_group_worker(
     points = [SweepPoint.from_dict(d) for d in point_dicts]
     if store_dir is None:
         if len(points) == 1:
-            outcomes = [_outcome_to_dict(execute_point(points[0]))]
+            outcomes = [outcome_to_dict(execute_point(points[0]))]
         else:
             outcomes = [
-                _outcome_to_dict(result) for result in execute_group(points)
+                outcome_to_dict(result) for result in execute_group(points)
             ]
     else:
         from repro.engine.snapshot import BlobStore
 
         outcomes = [
-            _outcome_to_dict(result)
+            outcome_to_dict(result)
             for result in execute_group(
                 points,
                 pool=_sweep_worker_pool(),
@@ -838,7 +633,7 @@ class ResultCache:
             return None
         outcome = payload.get("outcome")
         try:
-            _outcome_from_dict(outcome)
+            outcome_from_dict(outcome)
         except (KeyError, TypeError, ValueError):
             return None
         return outcome  # type: ignore[return-value]
@@ -913,7 +708,7 @@ class SweepReport:
         """
         return json.dumps(
             [
-                {"point": point.to_dict(), "outcome": _outcome_to_dict(result)}
+                {"point": point.to_dict(), "outcome": outcome_to_dict(result)}
                 for point, result in self.rows()
             ],
             sort_keys=True,
@@ -980,14 +775,14 @@ def run_sweep(
     for index, point in enumerate(points):
         outcome = cache.get(point) if cache is not None else None
         if outcome is not None:
-            results[index] = _outcome_from_dict(outcome)
+            results[index] = outcome_from_dict(outcome)
             provenance[index] = "cache"
             note(index, "cache")
         else:
             pending.append(index)
 
     def finish(index: int, outcome: Dict[str, object]) -> None:
-        results[index] = _outcome_from_dict(outcome)
+        results[index] = outcome_from_dict(outcome)
         if cache is not None:
             cache.put(points[index], outcome)
         note(index, "run")
@@ -997,7 +792,7 @@ def run_sweep(
     simulated_pending: List[int] = []
     for index in pending:
         if points[index].mode == "fast":
-            finish(index, _outcome_to_dict(execute_point(points[index])))
+            finish(index, outcome_to_dict(execute_point(points[index])))
         else:
             simulated_pending.append(index)
     pending = simulated_pending
@@ -1071,12 +866,12 @@ def run_sweep(
                 if len(members) == 1:
                     index = members[0]
                     finish(
-                        index, _outcome_to_dict(execute_point(points[index]))
+                        index, outcome_to_dict(execute_point(points[index]))
                     )
                 else:
                     group_results = execute_group([points[i] for i in members])
                     for index, result in zip(members, group_results):
-                        finish(index, _outcome_to_dict(result))
+                        finish(index, outcome_to_dict(result))
         if store_dir is not None:
             from repro.engine.snapshot import BlobStore
 

@@ -7,98 +7,21 @@ and the ``--trace`` flags on ``run``/``chaos``: it simulates one
 usual :class:`~repro.harness.results.ExperimentResult` and the tracer
 holding the timeline.
 
-The tracer attaches *after* the setup prefix — exactly where
-:func:`~repro.harness.sweep.execute_group` attaches a chaos injector on
-a snapshot fork — so a cold traced run and a fork-traced run of the same
-point produce byte-identical trace JSON and equal ``trace_digest``
-values (pinned by ``tests/test_trace.py``).
+The run goes through :func:`~repro.harness.pipeline.simulate`, which
+installs the tracer *after* the setup prefix — exactly where a chaos
+injector attaches on a snapshot fork — so a cold traced run and a
+fork-traced run of the same point produce byte-identical trace JSON and
+equal ``trace_digest`` values (pinned by ``tests/test_trace.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.harness.results import ExperimentResult
+from repro.harness.systems import System
 from repro.instrument.trace import TraceConfig, Tracer
-
-
-def populated_spans(buffer) -> List[List[int]]:
-    """``[offset, length]`` spans of ``buffer`` holding live program data.
-
-    Adjacent populated blocks merge into one span; offsets are relative
-    to the buffer start.  This is what the replay frontend re-creates
-    with ``host_write`` before re-enqueuing the measured body's ops.
-    """
-    spans: List[List[int]] = []
-    base = buffer.va_range.start
-    for block in buffer.blocks:
-        if not block.populated:
-            continue
-        offset = block.va_start - base
-        if spans and spans[-1][0] + spans[-1][1] == offset:
-            spans[-1][1] += block.used_bytes
-        else:
-            spans.append([offset, block.used_bytes])
-    return spans
-
-
-def _record_context(tracer: Tracer, runtime, point, plan) -> None:
-    """Emit the replay header: experiment metadata + the buffer table.
-
-    Recorded immediately after install, so these are the first records
-    of the program channel in both the cold and the forked timeline.
-    """
-    if not tracer.enabled:
-        return
-    now = runtime.env.now
-    tracer.instant(
-        "program",
-        "experiment",
-        now,
-        category="program",
-        args={
-            "workload": point.workload,
-            "system": plan.system,
-            "config": plan.config_label,
-            "link": point.link,
-            "gpu": point.gpu,
-            "scale": point.scale,
-            "ratio": plan.ratio,
-            "batch_size": point.batch_size,
-            "app_bytes": plan.app_bytes,
-        },
-    )
-    for buffer in runtime.managed_buffers():
-        tracer.instant(
-            "program",
-            "buffer",
-            now,
-            category="program",
-            args={
-                "buffer": buffer.name,
-                "nbytes": buffer.nbytes,
-                "spans": populated_spans(buffer),
-            },
-        )
-
-
-def _record_totals(tracer: Tracer, runtime) -> None:
-    """Emit the measured body's migration totals (the replay check)."""
-    if not tracer.enabled:
-        return
-    traffic = runtime.driver.traffic
-    tracer.instant(
-        "program",
-        "totals",
-        runtime.env.now,
-        category="program",
-        args={
-            "bytes_h2d": traffic.bytes_h2d,
-            "bytes_d2h": traffic.bytes_d2h,
-            "transfer_count": traffic.transfer_count,
-        },
-    )
 
 
 def traced_run(
@@ -117,60 +40,26 @@ def traced_run(
     prefix instead of continuing the cold runtime — the trace must be
     identical either way.
 
-    Raises :class:`~repro.errors.ConfigurationError` for points without
-    a split-phase plan (No-UVM has no driver to trace).
+    Raises :class:`~repro.errors.ConfigurationError` for No-UVM points,
+    which have no driver to trace.
     """
-    from repro.harness.runner import run_uvm_body, run_uvm_prefix
-    from repro.harness.sweep import (
-        _driver_config,
-        _gpu_spec,
-        _install_chaos,
-        _link,
-        _point_plan,
-    )
+    from repro.harness.pipeline import build_prefix, plan_for, simulate
 
-    plan = _point_plan(point)
-    if plan is None:
+    if System(point.system) is System.NO_UVM:
         raise ConfigurationError(
             f"{point.label}: tracing needs a UVM system (No-UVM has no driver)"
         )
+    plan = plan_for(point)
     tracer = Tracer(trace_config or TraceConfig())
-    driver_config = _driver_config(point)
-    try:
-        runtime = run_uvm_prefix(
-            plan.setup, _gpu_spec(point), _link(point), driver_config=driver_config
-        )
-    except OutOfMemoryError:
-        return None, tracer, None
+    snapshot = None
     if via_fork:
-        from repro.driver.config import UvmDriverConfig
         from repro.engine.snapshot import EngineSnapshot
 
-        runtime = EngineSnapshot(runtime).fork()
-        runtime.driver.reconfigure(driver_config or UvmDriverConfig())
-    # The tracer installs after the prefix (and after any fork), in the
-    # same slot where chaos attaches, so the measured-body timeline is
-    # independent of how the prefix state was produced.
-    tracer.install(runtime)
-    _record_context(tracer, runtime, point, plan)
-    injector = _install_chaos(runtime, point)
-    try:
-        result = run_uvm_body(
-            runtime,
-            plan.body,
-            plan.system,
-            plan.config_label,
-            plan.app_bytes,
-            plan.ratio,
-            metric=plan.metric,
-        )
-        _record_totals(tracer, runtime)
-    except OutOfMemoryError:
-        return None, tracer, runtime
-    finally:
-        if injector is not None:
-            injector.uninstall()
-        tracer.uninstall()
+        try:
+            snapshot = EngineSnapshot(build_prefix(plan))
+        except OutOfMemoryError:
+            return None, tracer, None
+    result, runtime = simulate(plan, snapshot, tracer)
     return result, tracer, runtime
 
 

@@ -24,8 +24,8 @@ Design constraints, in order:
    output is byte-identical to an untraced run.
 
 Install order matters for fork determinism: like the chaos injector, a
-tracer must be installed *after* ``run_uvm_prefix`` / ``fork()`` so the
-shared prefix stays tracer-free (see ``repro.harness.tracerun``).
+tracer is installed *after* the setup prefix (or its ``fork()``) so the
+shared prefix stays tracer-free (see ``repro.harness.pipeline``).
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ class NullTracer:
     """The disabled tracer: every operation is a no-op.
 
     A singleton (:data:`NULL_TRACER`) shared by every instrumented object;
-    ``__deepcopy__`` returns ``self`` so engine snapshots and forks keep
-    pointing at the shared instance instead of cloning it.
+    ``__reduce__`` restores the module instance, so engine snapshots and
+    forks (and ``copy.deepcopy``) keep pointing at it instead of cloning
+    it.
     """
 
     __slots__ = ()
@@ -109,15 +110,9 @@ class NullTracer:
     def uninstall(self) -> None:
         pass
 
-    def __copy__(self) -> "NullTracer":
-        return self
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "NullTracer":
-        return self
-
     def __reduce__(self):
-        # Pickle parity with __deepcopy__: a blob-forked snapshot keeps
-        # pointing at the shared singleton instead of growing clones.
+        # A blob-forked snapshot keeps pointing at the shared singleton
+        # instead of growing clones.
         return (_restore_null_tracer, ())
 
 

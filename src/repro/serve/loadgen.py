@@ -250,10 +250,10 @@ def run_load(
     report.retries_429 = sum(handle.retries for handle in handles)
 
     if verify_identity > 0:
-        from repro.harness.sweep import SweepPoint, _outcome_to_dict, execute_point
+        from repro.harness.sweep import SweepPoint, execute_point, outcome_to_dict
 
         for point_json, outcome in sorted(served.items())[:verify_identity]:
-            local = _outcome_to_dict(
+            local = outcome_to_dict(
                 execute_point(SweepPoint.from_dict(json.loads(point_json)))
             )
             report.identity_checked += 1

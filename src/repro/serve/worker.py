@@ -12,11 +12,11 @@ store (one ``pickle.loads`` away — a prefix built by *any* worker is
 warm for all of them), and only a host-wide miss simulates the setup
 prefix, publishes its blob for the other workers, and admits it
 locally.  The measured body always runs **on a fork of the snapshot**
-— the exact split-phase protocol of
-:func:`~repro.harness.sweep.execute_group`, which
-``tests/test_snapshot_fork.py`` pins byte-identical to a monolithic
-cold :func:`~repro.harness.sweep.execute_point` run.  Points without a
-prefix key (No-UVM, ``snapshot_reuse=False`` opt-outs) run unpooled.
+through :func:`~repro.harness.pipeline.simulate` — the one pipeline
+behind :func:`~repro.harness.sweep.execute_group` and the cold
+:func:`~repro.harness.sweep.execute_point`, which
+``tests/test_snapshot_fork.py`` pins byte-identical to each other.
+Points without a prefix key (No-UVM, fast mode) run unpooled.
 
 Everything crossing the process boundary is a plain dict: the point in,
 ``{"outcome", "source", "pid", "pool", "blob_store"}`` out.
@@ -111,40 +111,24 @@ def execute_point_pooled(
     (warm in-process pool hit), ``"blob"`` (forked a blob another
     worker published), ``"cold"`` (prefix simulated here, snapshot
     published/admitted for next time) or ``"unpooled"`` (no pool or
-    store / no split-phase plan).  The outcome dict is exactly what the
+    store, or no prefix to share).  The outcome dict is exactly what the
     sweep cache stores, so served results compare byte-for-byte with
     ``repro run``.
     """
-    from repro.driver.config import UvmDriverConfig
     from repro.engine.snapshot import resolve_prefix_snapshot
-    from repro.harness.runner import run_uvm_body, run_uvm_prefix
-    from repro.harness.sweep import (
-        _driver_config,
-        _gpu_spec,
-        _install_chaos,
-        _link,
-        _outcome_to_dict,
-        _point_plan,
-        execute_point,
-        prefix_key,
-    )
+    from repro.harness.pipeline import build_prefix, plan_for, simulate
+    from repro.harness.sweep import execute_point, outcome_to_dict, prefix_key
 
     warm = pool is not None or store is not None
     key = prefix_key(point) if warm else None
-    plan = _point_plan(point) if key is not None else None
-    if key is None or plan is None:
-        return _outcome_to_dict(execute_point(point)), "unpooled"
-
+    if key is None:
+        return outcome_to_dict(execute_point(point)), "unpooled"
+    plan = plan_for(point)
     oom_sentinel = []
 
     def build():
         try:
-            return run_uvm_prefix(
-                plan.setup,
-                _gpu_spec(point),
-                _link(point),
-                driver_config=_driver_config(point),
-            )
+            return build_prefix(plan)
         except OutOfMemoryError:
             oom_sentinel.append(True)
             return None
@@ -154,30 +138,12 @@ def execute_point_pooled(
     )
     if snapshot is None:
         if oom_sentinel:
-            return {"status": "oom"}, "cold"
-        # A non-quiescent prefix cannot be pooled; degrade to the
-        # monolithic cold path (identical results, no reuse).
-        return _outcome_to_dict(execute_point(point)), "unpooled"
+            return outcome_to_dict(None), "cold"
+        # A non-quiescent prefix cannot be pooled; degrade to a cold
+        # run (identical results, no reuse).
+        return outcome_to_dict(execute_point(point)), "unpooled"
     source = {"pool": "fork", "blob": "blob", "built": "cold"}[origin]
     # Run the body on a fork (not the captured prefix itself) so cold,
     # blob and warm paths all execute the same protocol.
-    runtime = snapshot.fork()
-
-    runtime.driver.reconfigure(_driver_config(point) or UvmDriverConfig())
-    injector = _install_chaos(runtime, point)
-    try:
-        result = run_uvm_body(
-            runtime,
-            plan.body,
-            plan.system,
-            plan.config_label,
-            plan.app_bytes,
-            plan.ratio,
-            metric=plan.metric,
-        )
-    except OutOfMemoryError:
-        return {"status": "oom"}, source
-    finally:
-        if injector is not None:
-            injector.uninstall()
-    return _outcome_to_dict(result), source
+    result, _ = simulate(plan, snapshot)
+    return outcome_to_dict(result), source

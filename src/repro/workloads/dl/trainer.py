@@ -201,13 +201,6 @@ class DarknetTrainer:
                     return []
                 return [BufferAccess(workspace, AccessMode.WRITE)]
 
-            detector = None
-            if cuda.driver.config.steady_state_fastforward:
-                from repro.instrument.steady_state import SteadyStateDetector
-
-                detector = SteadyStateDetector(
-                    cuda, cuda.driver.config.steady_state_verify_iterations
-                )
             for batch in range(cfg.batches):
                 if batch == cfg.warmup_batches:
                     yield from cuda.synchronize()
@@ -316,20 +309,6 @@ class DarknetTrainer:
                 if act_mode is not None:
                     cuda.discard_async(outputs[0], mode=act_mode, stream=compute)
                 yield from cuda.synchronize()
-                # Every batch ends at a fully drained sync: a legal place
-                # to compare iteration deltas and, once the loop is
-                # provably periodic, replay the delta for the remaining
-                # batches instead of simulating them.  Warm-up batches are
-                # excluded so begin_measurement always precedes a replay.
-                if (
-                    detector is not None
-                    and batch >= cfg.warmup_batches
-                    and detector.mark()
-                ):
-                    remaining = cfg.batches - batch - 1
-                    if remaining:
-                        detector.fast_forward(remaining)
-                    break
             yield from cuda.synchronize()
             # Keep the linter honest about the library buffer's lifetime.
             assert extra is None or not extra.freed

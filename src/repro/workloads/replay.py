@@ -109,7 +109,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.access import AccessMode
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.gpu.access import IrregularPattern, SequentialPattern, StridedPattern
 from repro.instrument.traffic import TransferReason
 from repro.interconnect.link import TransferDirection
@@ -954,46 +954,49 @@ def run_replay(trace: ReplayTrace, keep_transfer_records: bool = False):
     reconstructed from ``trace.meta`` so the replayed run sees exactly
     the environment of the recorded one.  With ``keep_transfer_records``
     the runtime retains per-transfer records for
-    :func:`per_buffer_transfer_totals`.
+    :func:`per_buffer_transfer_totals`.  Raises
+    :class:`~repro.errors.OutOfMemoryError` when the replayed program
+    does not fit.
     """
-    from repro.cuda.device import a100_40gb, gtx_1070, rtx_3080ti
-    from repro.harness.runner import run_uvm_body, run_uvm_prefix
-    from repro.interconnect import pcie_gen3, pcie_gen4
+    from repro.driver.config import UvmDriverConfig
+    from repro.harness.pipeline import GPU_FACTORIES, LINK_FACTORIES, Plan, simulate
 
     meta = trace.meta
-    gpu_factories = {"rtx3080ti": rtx_3080ti, "gtx1070": gtx_1070, "a100": a100_40gb}
-    link_factories = {"gen3": pcie_gen3, "gen4": pcie_gen4}
-    if meta["gpu"] not in gpu_factories:
+    if meta["gpu"] not in GPU_FACTORIES:
         _fail("meta", f"unknown gpu {meta['gpu']!r}; expected one of "
-                      f"{sorted(gpu_factories)}")
-    if meta["link"] not in link_factories:
+                      f"{sorted(GPU_FACTORIES)}")
+    if meta["link"] not in LINK_FACTORIES:
         _fail("meta", f"unknown link {meta['link']!r}; expected one of "
-                      f"{sorted(link_factories)}")
+                      f"{sorted(LINK_FACTORIES)}")
     scale = meta.get("scale", 1.0)
     if not isinstance(scale, (int, float)) or isinstance(scale, bool) or scale <= 0:
         _fail("meta", f"bad scale {scale!r}")
     ratio = meta.get("ratio", 1.0)
     if not isinstance(ratio, (int, float)) or isinstance(ratio, bool) or ratio <= 0:
         _fail("meta", f"bad ratio {ratio!r}")
-    gpu = gpu_factories[meta["gpu"]]().scaled(scale)
-    link = link_factories[meta["link"]]()
-    driver_config = None
-    if keep_transfer_records:
-        from repro.driver.config import UvmDriverConfig
-
-        driver_config = UvmDriverConfig(keep_transfer_records=True)
     workload = ReplayWorkload(trace)
-    runtime = run_uvm_prefix(
-        workload.setup_program(), gpu, link, driver_config=driver_config
+    plan = Plan(
+        setup=workload.setup_program(),
+        body=workload.body_program(),
+        system=meta["system"],
+        config_label=meta.get("config", "replay"),
+        app_bytes=workload.app_bytes,
+        ratio=float(ratio),
+        gpu=GPU_FACTORIES[meta["gpu"]]().scaled(scale),
+        make_link=LINK_FACTORIES[meta["link"]],
+        driver_config=(
+            UvmDriverConfig(keep_transfer_records=True)
+            if keep_transfer_records
+            else None
+        ),
     )
-    result = run_uvm_body(
-        runtime,
-        workload.body_program(),
-        meta["system"],
-        meta.get("config", "replay"),
-        workload.app_bytes,
-        float(ratio),
-    )
+    result, runtime = simulate(plan)
+    if result is None:
+        raise OutOfMemoryError(
+            f"{plan.system}/{plan.config_label}: {plan.app_bytes} bytes at "
+            f"oversubscription ratio {plan.ratio:g} do not fit in the "
+            f"{plan.gpu.memory_bytes}-byte {plan.gpu.name}"
+        )
     return result, runtime
 
 

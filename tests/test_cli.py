@@ -280,19 +280,46 @@ class TestFastMode:
         assert "+fast" in out
 
 
+def _engine_churn_baseline(tmp_path, wall_seconds):
+    """A one-benchmark baseline file claiming ``wall_seconds``."""
+    from repro.harness.perf import results_to_json
+
+    path = tmp_path / f"baseline-{wall_seconds:g}.json"
+    path.write_text(
+        results_to_json({"engine_churn": {"wall_seconds": wall_seconds}}, 1)
+    )
+    return str(path)
+
+
 class TestProfileCompare:
-    def test_compare_prints_delta_table(self, capsys):
+    # The baselines are written here, far above or below any real run,
+    # so the outcome does not depend on how fast this host is.
+
+    def test_compare_prints_delta_table(self, tmp_path, capsys):
         assert main([
             "profile",
             "--benchmarks", "engine_churn",
             "--repeat", "1",
             "--output", "",
-            "--compare", "benchmarks/perf/baseline.json",
+            "--compare", _engine_churn_baseline(tmp_path, 1000.0),
         ]) == 0
-        out = capsys.readouterr().out
-        assert "vs baseline" in out
-        assert "engine_churn" in out
-        assert "speedup" in out
+        captured = capsys.readouterr()
+        assert "vs baseline" in captured.out
+        assert "engine_churn" in captured.out
+        assert "speedup" in captured.out
+        assert "PERF REGRESSION" not in captured.err
+
+    def test_compare_regression_exits_1(self, tmp_path, capsys):
+        assert main([
+            "profile",
+            "--benchmarks", "engine_churn",
+            "--repeat", "1",
+            "--output", "",
+            "--compare", _engine_churn_baseline(tmp_path, 1e-6),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "speedup" in captured.out  # the table still prints
+        assert "PERF REGRESSION: engine_churn" in captured.err
 
     def test_compare_bad_baseline_exits_2(self, tmp_path, capsys):
         bogus = tmp_path / "nope.json"
@@ -433,3 +460,13 @@ class TestReplay:
         bare.write_text(json.dumps(doc))
         assert main(["replay", str(bare), "--check"]) == 2
         assert "no expected totals" in capsys.readouterr().err
+
+    def test_oom_replay_exits_2(self, export, tmp_path, capsys):
+        from repro.workloads.replay import load_replay_trace
+
+        doc = load_replay_trace(str(export)).to_document()
+        doc["meta"]["ratio"] = 1e6  # an occupant that leaves no frames
+        crowded = tmp_path / "crowded.json"
+        crowded.write_text(json.dumps(doc))
+        assert main(["replay", str(crowded)]) == 2
+        assert "replay failed: UvmDiscard/200%" in capsys.readouterr().err

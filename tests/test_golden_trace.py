@@ -116,32 +116,6 @@ def test_golden_trace(name, update_golden):
     )
 
 
-@pytest.mark.parametrize("coalesce", [True, False])
-@pytest.mark.parametrize("name", sorted(GOLDEN_POINTS))
-def test_golden_trace_invariant_to_coalescing(name, coalesce):
-    """Transfer coalescing is a pure wall-clock optimization.
-
-    Every golden point must reproduce its committed snapshot bit-for-bit
-    with the fast path forced on *and* with the legacy per-span path —
-    same simulated times, same traffic, same counters.  There is no
-    --update-golden escape hatch here: if the two modes disagree, the
-    coalesced path has a semantics bug, not a stale snapshot.
-    """
-    point = dataclasses.replace(
-        GOLDEN_POINTS[name], driver=(("coalesce_transfers", coalesce),)
-    )
-    result = execute_point(point)
-    assert result is not None, f"{point.label} unexpectedly hit OOM"
-    path = GOLDEN_DIR / f"{name}.json"
-    assert path.exists(), f"missing golden snapshot {path}"
-    golden = json.loads(path.read_text())
-    drift = _diff(_flatten(golden["result"]), _flatten(result.to_dict()))
-    assert not drift, (
-        f"{name}: coalesce_transfers={coalesce} diverges from the "
-        "committed snapshot (golden -> actual):\n" + "\n".join(drift)
-    )
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_POINTS))
 def test_golden_trace_invariant_to_snapshot_forking(name):
     """Shared-prefix snapshot forking is a pure wall-clock optimization.
@@ -149,9 +123,9 @@ def test_golden_trace_invariant_to_snapshot_forking(name):
     Each golden point is run as part of a prefix-sharing group (with a
     sibling under another system, so the snapshot/fork path actually
     engages) and must still reproduce its committed snapshot
-    bit-for-bit.  As with the coalescing invariance above there is no
-    --update-golden escape hatch: a divergence means the forked
-    continuation is not equivalent to a cold run.
+    bit-for-bit.  There is no --update-golden escape hatch: a
+    divergence means the forked continuation is not equivalent to a
+    cold run.
     """
     point = GOLDEN_POINTS[name]
     sibling = dataclasses.replace(point, system="UVM-opt")

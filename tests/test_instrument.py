@@ -249,6 +249,13 @@ class TestEventLog:
         with pytest.raises(ValueError):
             EventLog(capacity=0)
 
+    def test_event_log_capacity_validated(self):
+        from repro.driver.config import UvmDriverConfig
+
+        with pytest.raises(ValueError):
+            UvmDriverConfig(event_log_capacity=0).validate()
+        UvmDriverConfig(event_log_capacity=None).validate()
+
     def test_str_rendering(self):
         log = EventLog(enabled=True)
         log.log(1e-6, "evict", "reclaimed")

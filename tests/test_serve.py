@@ -34,8 +34,8 @@ from repro.engine.snapshot import EngineSnapshot, SnapshotPool
 from repro.harness.sweep import (
     ResultCache,
     SweepPoint,
-    _outcome_to_dict,
     execute_point,
+    outcome_to_dict,
     prefix_key,
 )
 from repro.instrument.metrics import Histogram
@@ -196,7 +196,7 @@ class TestExecutePointPooled:
     def test_cold_then_fork_byte_identical_to_execute_point(self):
         pool = SnapshotPool(max_bytes=1 << 30)
         point = fir_point()
-        reference = canonical(_outcome_to_dict(execute_point(point)))
+        reference = canonical(outcome_to_dict(execute_point(point)))
         cold, cold_source = execute_point_pooled(point, pool)
         warm, warm_source = execute_point_pooled(point, pool)
         assert (cold_source, warm_source) == ("cold", "fork")
@@ -212,7 +212,7 @@ class TestExecutePointPooled:
         outcome, source_sibling = execute_point_pooled(sibling, pool)
         assert (source_first, source_sibling) == ("cold", "fork")
         assert canonical(outcome) == canonical(
-            _outcome_to_dict(execute_point(sibling))
+            outcome_to_dict(execute_point(sibling))
         )
 
     def test_unpooled_paths(self):
@@ -220,7 +220,7 @@ class TestExecutePointPooled:
         outcome, source = execute_point_pooled(point, None)
         assert source == "unpooled"
         assert canonical(outcome) == canonical(
-            _outcome_to_dict(execute_point(point))
+            outcome_to_dict(execute_point(point))
         )
         no_uvm = SweepPoint("fir", "No-UVM", ratio=0.9, scale=SCALE)
         _, source = execute_point_pooled(no_uvm, SnapshotPool(1 << 30))
@@ -233,13 +233,29 @@ class TestExecutePointPooled:
         )
         outcome, source = execute_point_pooled(point, pool)
         assert outcome == {"status": "oom"}
-        assert source == "unpooled"  # No-UVM has no split-phase plan
+        assert source == "unpooled"  # No-UVM has no prefix to share
+
+    def test_fork_does_not_inherit_the_builders_eviction_policy(self):
+        # A FIFO request builds the pooled prefix; the LRU request that
+        # forks it must still evict LRU (1.71 GB here, not FIFO's 2.55).
+        pool = SnapshotPool(max_bytes=1 << 30)
+        lru = SweepPoint("dl:vgg16", "UVM-opt", batch_size=125, scale=SCALE)
+        fifo = SweepPoint(
+            "dl:vgg16", "UVM-opt", batch_size=125, scale=SCALE,
+            driver={"eviction_policy": "fifo"},
+        )
+        _, first = execute_point_pooled(fifo, pool)
+        outcome, second = execute_point_pooled(lru, pool)
+        assert (first, second) == ("cold", "fork")
+        assert canonical(outcome) == canonical(
+            outcome_to_dict(execute_point(lru))
+        )
 
     def test_chaos_point_through_the_pool(self):
         pool = SnapshotPool(max_bytes=1 << 30)
         chaos = {"seed": 3, "transfer_fault_interval": 40}
         point = fir_point(chaos=tuple(sorted(chaos.items())))
-        reference = canonical(_outcome_to_dict(execute_point(point)))
+        reference = canonical(outcome_to_dict(execute_point(point)))
         cold, _ = execute_point_pooled(point, pool)
         warm, source = execute_point_pooled(point, pool)
         assert source == "fork"
@@ -309,7 +325,7 @@ class TestServerEndToEnd:
             assert (first["provenance"], first["source"]) == ("run", "cold")
             # Byte-identity: execute_point is what `repro run` executes.
             assert canonical(first["outcome"]) == canonical(
-                _outcome_to_dict(execute_point(point))
+                outcome_to_dict(execute_point(point))
             )
 
             # The duplicate is served from the content-hash cache.
@@ -331,7 +347,7 @@ class TestServerEndToEnd:
             # ratio 2.0 was already cached; the rest simulated.
             assert job["provenance"].count("cache") >= 1
             for spec, outcome in zip(job["points"], job["outcomes"]):
-                local = _outcome_to_dict(
+                local = outcome_to_dict(
                     execute_point(SweepPoint.from_dict(spec))
                 )
                 assert canonical(outcome) == canonical(local)
@@ -469,7 +485,7 @@ class TestServerEndToEnd:
     def test_rate_limited_client_gets_429_and_retry_succeeds(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         point = fir_point()
-        cache.put(point, _outcome_to_dict(execute_point(point)))
+        cache.put(point, outcome_to_dict(execute_point(point)))
         with RunningServer(
             cache_dir=tmp_path / "cache", rate=2.0, burst=1.0
         ) as running:

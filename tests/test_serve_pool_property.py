@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.engine.snapshot import EngineSnapshot, SnapshotPool
 from repro.errors import SnapshotError
-from repro.harness.sweep import SweepPoint, _outcome_to_dict, execute_point, prefix_key
+from repro.harness.sweep import SweepPoint, execute_point, outcome_to_dict, prefix_key
 from repro.serve.worker import execute_point_pooled
 
 
@@ -168,7 +168,7 @@ def test_eviction_is_transparent_to_served_results(system, ratio, evict_between)
     """Evicting a prefix between requests changes only the pool source
     (cold vs fork), never the served outcome bytes."""
     point = SweepPoint("fir", system, ratio=ratio, scale=0.03125)
-    baseline = json.dumps(_outcome_to_dict(execute_point(point)), sort_keys=True)
+    baseline = json.dumps(outcome_to_dict(execute_point(point)), sort_keys=True)
     pool = SnapshotPool(max_bytes=64 << 20)
     key = prefix_key(point)
     warmed = False

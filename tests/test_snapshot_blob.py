@@ -2,14 +2,15 @@
 
 Four layers, mirroring ``tests/test_snapshot_fork.py``:
 
-- **pickle parity** — the engine invariants ``__deepcopy__`` enforces
-  must hold for pickling too: the ``_PENDING`` sentinel and
-  ``NULL_TRACER`` unpickle to their module singletons, finished
-  processes shed generators, live processes refuse loudly,
+- **pickle parity** — the snapshot invariants hold for pickling: the
+  ``_PENDING`` sentinel and ``NULL_TRACER`` unpickle to their module
+  singletons, finished processes shed generators, live processes
+  refuse loudly,
 - **differential identity** — a blob-forked run must be byte-identical
   (``ExperimentResult`` and :func:`~repro.chaos.trace_digest`) to a
   deepcopy-forked run and a cold run, across the fig5 networks, a
-  chaos schedule, and the vectorized-bitmap driver paths,
+  chaos schedule, and the vectorized-bitmap driver paths; all three
+  run the measured body through :func:`repro.harness.pipeline.simulate`,
 - **stores** — :class:`~repro.engine.snapshot.BlobStore` honours its
   byte budget with LRU eviction, refuses oversize blobs, counts every
   published build in ``builds.log``, and keeps builds single-flight
@@ -37,7 +38,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import trace_digest
-from repro.driver.config import UvmDriverConfig
 from repro.engine.core import Environment, _PENDING
 from repro.engine.snapshot import (
     BlobStore,
@@ -46,18 +46,8 @@ from repro.engine.snapshot import (
     resolve_prefix_snapshot,
 )
 from repro.errors import SnapshotError
-from repro.harness.runner import run_uvm_body, run_uvm_prefix
-from repro.harness.sweep import (
-    SweepPoint,
-    _driver_config,
-    _gpu_spec,
-    _install_chaos,
-    _link,
-    _point_plan,
-    execute_point,
-    prefix_key,
-    run_sweep,
-)
+from repro.harness.pipeline import build_prefix, plan_for, simulate
+from repro.harness.sweep import SweepPoint, execute_point, run_sweep
 from repro.instrument.trace import NULL_TRACER
 
 UVM_SYSTEMS = ("UVM-opt", "UvmDiscard", "UvmDiscardLazy")
@@ -72,7 +62,7 @@ CHAOS_ITEMS = (
 
 
 # ----------------------------------------------------------------------
-# pickle parity with __deepcopy__
+# pickle parity
 # ----------------------------------------------------------------------
 
 
@@ -144,48 +134,32 @@ class TestPickleParity:
 # ----------------------------------------------------------------------
 
 
-def _body_on(runtime, point):
-    """Run ``point``'s measured body on ``runtime`` (a fork); return
+class _DeepcopySnapshot:
+    """Forks a prefix runtime with ``copy.deepcopy`` instead of a blob."""
+
+    def __init__(self, runtime):
+        self.runtime = runtime
+
+    def fork(self):
+        return copy.deepcopy(self.runtime)
+
+
+def _body_on(snapshot, point):
+    """Run ``point``'s measured body on a fork of ``snapshot``; return
     the result dict and the full observable trace digest."""
-    plan = _point_plan(point)
-    runtime.driver.reconfigure(_driver_config(point) or UvmDriverConfig())
-    injector = _install_chaos(runtime, point)
-    try:
-        result = run_uvm_body(
-            runtime,
-            plan.body,
-            plan.system,
-            plan.config_label,
-            plan.app_bytes,
-            plan.ratio,
-            metric=plan.metric,
-        )
-    finally:
-        if injector is not None:
-            injector.uninstall()
+    result, runtime = simulate(plan_for(point), snapshot)
     return result.to_dict(), trace_digest(runtime)
 
 
 def _assert_blob_matches_deepcopy_and_cold(point):
-    plan = _point_plan(point)
-    assert plan is not None
-    prefix = run_uvm_prefix(
-        plan.setup, _gpu_spec(point), _link(point),
-        driver_config=_driver_config(point),
-    )
-    snapshot = EngineSnapshot(prefix)
-    deep_result, deep_digest = _body_on(copy.deepcopy(prefix), point)
-    blob_result, blob_digest = _body_on(snapshot.fork(), point)
+    prefix = build_prefix(plan_for(point))
+    deep_result, deep_digest = _body_on(_DeepcopySnapshot(prefix), point)
+    blob_result, blob_digest = _body_on(EngineSnapshot(prefix), point)
     assert blob_result == deep_result
     assert blob_digest == deep_digest
-    if not point.chaos:
-        # The cold monolithic path (execute_point) has no split-phase
-        # chaos hook, so the cold cross-check is for fault-free points;
-        # chaos identity is covered fork-vs-fork above and by
-        # tests/test_chaos_subsystem.py's determinism suite.
-        cold = execute_point(point)
-        assert cold is not None
-        assert blob_result == cold.to_dict()
+    cold = execute_point(point)
+    assert cold is not None
+    assert blob_result == cold.to_dict()
 
 
 class TestDifferentialIdentity:
@@ -236,9 +210,8 @@ class TestDifferentialIdentity:
         )
 
     def test_chaos_fork_matches_cold_chaos_run(self):
-        # Cold chaos runs go through the split-phase _execute_chaos_point,
-        # which *does* install the injector at the same boundary — so
-        # here the cold cross-check applies too.
+        # Cold chaos runs go through the same pipeline, which installs
+        # the injector at the same boundary as on a fork.
         point = SweepPoint(
             workload="fir",
             system="UvmDiscard",
@@ -246,12 +219,8 @@ class TestDifferentialIdentity:
             scale=0.01,
             chaos=CHAOS_ITEMS,
         )
-        plan = _point_plan(point)
-        prefix = run_uvm_prefix(
-            plan.setup, _gpu_spec(point), _link(point),
-            driver_config=_driver_config(point),
-        )
-        blob_result, _ = _body_on(EngineSnapshot(prefix).fork(), point)
+        prefix = build_prefix(plan_for(point))
+        blob_result, _ = _body_on(EngineSnapshot(prefix), point)
         cold = execute_point(point)
         assert cold is not None
         assert blob_result == cold.to_dict()

@@ -5,8 +5,8 @@ Three layers, mirroring the machinery's structure:
 - engine level — :class:`~repro.engine.snapshot.EngineSnapshot` only
   accepts quiescent graphs (a hypothesis sweep stops simulations at
   random points and checks the legality decision), the ``_PENDING``
-  sentinel and finished processes survive deep copies, live processes
-  fail loudly,
+  sentinel and finished processes survive deep copies (through the
+  pickle protocol), live processes fail loudly,
 - group level — for a differential corpus spanning every workload
   family, system, ratio and a set of setup-inert driver variants,
   :func:`~repro.harness.sweep.execute_group` (shared prefix, snapshot,
@@ -61,7 +61,6 @@ def _corpus():
                 )
     for variant in (
         {"eviction_policy": "fifo"},
-        {"coalesce_transfers": False},
         {"discarded_queue_enabled": False},
     ):
         points.append(
@@ -71,7 +70,22 @@ def _corpus():
         points.append(
             SweepPoint("dl:vgg16", system, batch_size=8, scale=0.03125)
         )
+    # FIFO and LRU move the same bytes on FIR but not here (2.55 vs
+    # 1.71 GB): a FIFO fork of the LRU-built prefix that kept the
+    # builder's eviction policy diverges from its cold run.
+    lru = SweepPoint("dl:vgg16", "UVM-opt", batch_size=125, scale=0.03125)
+    points.append(lru)
+    points.append(
+        dataclasses.replace(lru, driver=(("eviction_policy", "fifo"),))
+    )
     return points
+
+
+def _group_id(group):
+    head = group[0]
+    if head.is_dl:
+        return f"{head.workload}@{head.scale:g}-bs{head.batch_size}"
+    return f"{head.workload}@{head.scale:g}"
 
 
 def _grouped_corpus():
@@ -189,12 +203,6 @@ class TestPrefixKey:
         point = SweepPoint("dl:vgg16", "No-UVM", batch_size=8, scale=0.03125)
         assert prefix_key(point) is None
 
-    def test_snapshot_reuse_override_opts_out(self):
-        point = SweepPoint(
-            "fir", "UvmDiscard", scale=0.01, driver={"snapshot_reuse": False}
-        )
-        assert prefix_key(point) is None
-
     def test_system_ratio_and_inert_knobs_share_a_key(self):
         base = SweepPoint("fir", "UvmDiscard", ratio=2.0, scale=0.01)
         same = [
@@ -222,6 +230,12 @@ class TestPrefixKey:
                 "fir", "UvmDiscard", ratio=2.0, scale=0.01,
                 driver={"keep_transfer_records": True},
             ),
+            # The prefix builds its page tables bitmap or scalar, and a
+            # fork cannot switch them.
+            SweepPoint(
+                "fir", "UvmDiscard", ratio=2.0, scale=0.01,
+                driver={"vectorized": False},
+            ),
         ]
         for point in different:
             assert prefix_key(point) != prefix_key(base), point.label
@@ -235,7 +249,7 @@ class TestPrefixKey:
 class TestForkEqualsCold:
     @pytest.mark.parametrize(
         "group", [g for _, g in _grouped_corpus()],
-        ids=[f"{g[0].workload}@{g[0].scale:g}" for _, g in _grouped_corpus()],
+        ids=[_group_id(g) for _, g in _grouped_corpus()],
     )
     def test_group_matches_cold_runs_byte_for_byte(self, group):
         cold = [execute_point(point) for point in group]
