@@ -1,11 +1,10 @@
-"""Tracing must be free when disabled.
+"""Tracing must be free when no tracer is installed.
 
 Two layers, mirroring ``test_perf_suite.py``:
 
 - **Structural** (always on): after an untraced run every instrumented
-  object still holds the shared :data:`NULL_TRACER` singleton, and a
-  disabled :class:`Tracer` refuses to attach anything — so the disabled
-  configuration's entire cost is one attribute load plus a truth test
+  object still holds the shared :data:`NULL_TRACER` singleton — so an
+  untraced run's entire cost is one attribute load plus a truth test
   per instrumented call site, none of which sit on engine hot loops.
 - **Wall time** (opt-in via ``REPRO_PERF_STRICT=1``, the CI perf-smoke
   job): ``engine_churn`` — the pure engine event loop, which by
@@ -25,7 +24,7 @@ import pathlib
 import pytest
 
 from repro.harness.perf import load_bench_json, run_benchmarks
-from repro.instrument.trace import NULL_TRACER, TraceConfig, Tracer
+from repro.instrument.trace import NULL_TRACER
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "baseline.json"
 
@@ -59,15 +58,6 @@ def test_untraced_run_keeps_null_tracer_everywhere():
         assert executor.tracer is NULL_TRACER
     for stream in runtime.streams():
         assert stream.tracer is NULL_TRACER
-
-
-def test_disabled_tracer_install_is_a_noop():
-    runtime = _small_runtime()
-    tracer = Tracer(TraceConfig(enabled=False))
-    assert tracer.install(runtime) is tracer
-    assert runtime.driver.tracer is NULL_TRACER
-    assert tracer.events == []
-    tracer.uninstall()  # must not raise
 
 
 def test_null_tracer_survives_copies():

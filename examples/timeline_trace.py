@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 """Export a chrome://tracing timeline of a simulated training batch.
 
-Attaches a :class:`repro.Timeline` to the runtime, trains one scaled
+Installs a :class:`repro.Tracer` on the runtime, trains one scaled
 VGG-16 batch under UVM with discard, and writes ``vgg16_trace.json`` —
 load it in chrome://tracing or https://ui.perfetto.dev to see kernels on
-the compute track overlapping prefetches and evictions on the copy
-engine tracks, exactly like an Nsight capture of the real system.
+the ``gpu0/compute`` track overlapping prefetches and eviction
+write-backs on the ``link/h2d`` and ``link/d2h`` tracks, exactly like an
+Nsight capture of the real system.  ``python -m repro trace --validate
+vgg16_trace.json`` checks the file against the trace-event schema.
 
 Run:  python examples/timeline_trace.py
 """
 
 from __future__ import annotations
 
-from repro import Timeline
+from repro import Tracer
 from repro.cuda.device import rtx_3080ti
 from repro.cuda.runtime import CudaRuntime
 from repro.harness.oversubscribe import apply_oversubscription
 from repro.harness.systems import System
-from repro.instrument.timeline import TRACK_D2H, TRACK_H2D
 from repro.interconnect import pcie_gen4
 from repro.workloads.dl import DarknetTrainer, TrainerConfig, vgg16
 
@@ -33,20 +34,21 @@ def main() -> None:
     )
     runtime = CudaRuntime(gpu=rtx_3080ti().scaled(SCALE), link=pcie_gen4())
     apply_oversubscription(runtime, trainer.app_bytes, 1.0)
-    timeline = Timeline.attach(runtime)
+    tracer = Tracer().install(runtime)
     runtime.run(trainer.program())
+    tracer.uninstall()
 
-    compute_track = f"{runtime.gpu.name}:compute"
-    compute = timeline.busy_seconds(compute_track)
-    h2d = timeline.busy_seconds(TRACK_H2D)
-    d2h = timeline.busy_seconds(TRACK_D2H)
-    overlap = timeline.overlap_seconds(compute_track, TRACK_H2D)
-    print(f"spans recorded:     {len(timeline.spans)}")
+    compute_track = f"{runtime.gpu.name}/compute"
+    compute = tracer.busy_seconds(compute_track)
+    h2d = tracer.busy_seconds("link/h2d")
+    d2h = tracer.busy_seconds("link/d2h")
+    overlap = tracer.overlap_seconds(compute_track, "link/h2d")
+    print(f"trace records:      {len(tracer.events)}")
     print(f"compute busy:       {compute * 1e3:8.2f} ms")
-    print(f"H2D engine busy:    {h2d * 1e3:8.2f} ms")
-    print(f"D2H engine busy:    {d2h * 1e3:8.2f} ms")
+    print(f"H2D link busy:      {h2d * 1e3:8.2f} ms")
+    print(f"D2H link busy:      {d2h * 1e3:8.2f} ms")
     print(f"compute/H2D overlap:{overlap * 1e3:8.2f} ms (prefetch pipelining)")
-    timeline.write_chrome_trace(OUTPUT)
+    tracer.write(OUTPUT)
     print(f"\nwrote {OUTPUT} — open it in chrome://tracing")
 
 

@@ -69,7 +69,7 @@ from repro.cuda import (
 )
 from repro.driver import UvmDriver, UvmDriverConfig
 from repro.harness.validation import check_driver_invariants
-from repro.instrument.timeline import Timeline
+from repro.instrument.trace import Tracer
 from repro.errors import (
     DataCorruptionError,
     DiscardSemanticsError,
@@ -99,7 +99,7 @@ __all__ = [
     "UvmDiscardLazy",
     "UvmDriver",
     "UvmDriverConfig",
-    "Timeline",
+    "Tracer",
     "check_driver_invariants",
     "a100_40gb",
     "gtx_1070",

@@ -331,20 +331,13 @@ class ChaosInjector:
             )
             if extra > 0:
                 yield driver.env.timeout(extra)
-            if driver.log.enabled:
-                driver.log.log(
-                    driver.env.now, "chaos",
-                    "replay storm on %s: %d blocks re-delivered", gpu, len(blocks),
-                )
         p = self.config.batch_reorder_probability
         if p and len(blocks) > 1 and self._reorder_rng.random() < p:
             self._reorder_rng.shuffle(blocks)
             driver.counters.bump(Counters.FAULT_BATCH_REORDERS)
         return blocks
 
-    def kernel_abort(
-        self, executor: "GpuExecutor", kernel: "KernelSpec", wave_index: int
-    ) -> bool:
+    def kernel_abort(self, executor: "GpuExecutor", kernel: "KernelSpec") -> bool:
         """Whether to kill the running kernel at this wave boundary."""
         p = self.config.kernel_abort_probability
         if not p:
@@ -359,11 +352,6 @@ class ChaosInjector:
         self._aborts_left -= 1
         driver = executor.driver
         driver.counters.bump(Counters.KERNEL_ABORTS)
-        if driver.log.enabled:
-            driver.log.log(
-                driver.env.now, "chaos",
-                "kernel %s aborted at wave %d", kernel.name, wave_index,
-            )
         env = self._env
         if env is not None:
             self._record(env.event_count, f"abort:{kernel.name}")

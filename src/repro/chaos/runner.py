@@ -10,7 +10,9 @@ the three properties the chaos subsystem guarantees:
    with and without injected faults — retries, aborts, evictions and
    remappings never change program-visible data.
 3. **Determinism**: the two chaos runs of the same seed produce the same
-   event trace (equal :func:`trace_digest`).
+   event trace: equal :func:`trace_digest` and equal tracer digests.
+   Every run records through a :class:`~repro.instrument.trace.Tracer`,
+   so the verdict always checks that one record stream.
 
 ``python -m repro chaos`` drives this suite from the CLI.
 """
@@ -49,8 +51,8 @@ def trace_digest(runtime: CudaRuntime) -> str:
 
     Covers the simulated clock, the processed-event count, every counter,
     the traffic totals (per direction and per reason), the RMT tallies
-    and — when enabled — every event-log entry and retained transfer
-    record.  Two runs with equal digests took the same schedule.
+    and every retained transfer record.  Two runs with equal digests
+    took the same schedule.
     """
     h = hashlib.sha256()
 
@@ -82,8 +84,6 @@ def trace_digest(runtime: CudaRuntime) -> str:
             record.first_block,
             record.num_blocks,
         )
-    for entry in runtime.driver.log.entries():
-        put(entry.time, entry.category, entry.message)
     return h.hexdigest()
 
 
@@ -99,11 +99,7 @@ def _chaos_gpu(memory_mib: int) -> GpuSpec:
 
 
 def _make_runtime(memory_mib: int) -> CudaRuntime:
-    config = UvmDriverConfig(
-        keep_transfer_records=True,
-        event_log_enabled=True,
-        event_log_capacity=None,
-    )
+    config = UvmDriverConfig(keep_transfer_records=True)
     return CudaRuntime(gpu=_chaos_gpu(memory_mib), driver_config=config)
 
 
@@ -242,13 +238,12 @@ class ChaosWorkloadResult:
     fault_free_seconds: float
     chaos_seconds: float
     counters: Dict[str, int] = field(default_factory=dict)
-    #: EventLog entries dropped by the ring buffer during the chaos run.
-    log_dropped: int = 0
-    #: Timeline digests of the two chaos runs when tracing was requested
-    #: (empty otherwise); equality is folded into ``trace_reproducible``.
+    #: Tracer digests of the two chaos runs; their equality is part of
+    #: ``trace_reproducible``.
     chaos_trace_digest: str = ""
     repeat_trace_digest: str = ""
-    #: The first chaos run's tracer, kept for ``--trace`` export.
+    #: The first chaos run's tracer, kept only when the caller passed a
+    #: ``trace_config`` (the ``--trace`` export).
     chaos_tracer: Optional[Tracer] = field(
         default=None, repr=False, compare=False
     )
@@ -279,16 +274,14 @@ class ChaosRunReport:
             f"chaos suite: seed={self.seed} cadence={self.cadence} "
             f"{'PASS' if self.ok else 'FAIL'}",
             f"{'workload':<10} {'output':<8} {'trace':<8} "
-            f"{'violations':<11} {'checks':<7} {'injections':<11} "
-            f"{'log-drop':<8}",
+            f"{'violations':<11} {'checks':<7} injections",
         ]
         for r in self.results:
             lines.append(
                 f"{r.workload:<10} "
                 f"{'match' if r.outputs_match else 'DIFFER':<8} "
                 f"{'stable' if r.trace_reproducible else 'DRIFT':<8} "
-                f"{r.violations:<11} {r.checks:<7} {r.injected_actions:<11} "
-                f"{r.log_dropped:<8}"
+                f"{r.violations:<11} {r.checks:<7} {r.injected_actions}"
             )
         return lines
 
@@ -301,16 +294,11 @@ def _run_once(
     cadence: int,
     strict: bool,
     trace_config: Optional[TraceConfig] = None,
-) -> Tuple[
-    bytes, str, float, OnlineValidator, int, Dict[str, int],
-    Optional[Tracer], int,
-]:
+) -> Tuple[bytes, str, float, OnlineValidator, int, Dict[str, int], Tracer]:
     program, out, _default_mib = _build_program(name, seed)
     runtime = _make_runtime(memory_mib)
-    tracer: Optional[Tracer] = None
-    if trace_config is not None and trace_config.enabled:
-        tracer = Tracer(trace_config)
-        tracer.install(runtime)
+    tracer = Tracer(trace_config or TraceConfig(metrics_cadence=0))
+    tracer.install(runtime)
     validator = OnlineValidator(
         runtime.driver, cadence=cadence, strict=strict
     ).install(runtime.env)
@@ -331,8 +319,7 @@ def _run_once(
         validator.uninstall()
         if injector is not None:
             injector.uninstall()
-        if tracer is not None:
-            tracer.uninstall()
+        tracer.uninstall()
     digest = trace_digest(runtime)
     actions = len(injector.actions) if injector is not None else 0
     counters = {
@@ -342,10 +329,7 @@ def _run_once(
         or name in ("kernel_aborts", "link_degradations", "pressure_spikes",
                     "invariant_checks")
     }
-    return (
-        out["bytes"], digest, elapsed, validator, actions, counters,
-        tracer, runtime.driver.log.dropped,
-    )
+    return out["bytes"], digest, elapsed, validator, actions, counters, tracer
 
 
 def run_chaos_suite(
@@ -363,9 +347,9 @@ def run_chaos_suite(
     simulation mid-flight, so one report covers every workload; tests use
     ``strict=True`` to fail fast.
 
-    ``trace_config`` additionally traces the two chaos runs of each
-    workload (the fault-free reference stays untraced) and folds
-    timeline-digest equality into ``trace_reproducible``.
+    Every run records through a tracer; ``trace_config`` replaces its
+    default (no metrics sampling) settings and keeps each workload's
+    first chaos tracer on the result for export.
     """
     chaos = config or ChaosConfig.default_storm(seed=seed)
     chaos.validate()
@@ -373,23 +357,20 @@ def run_chaos_suite(
     for name in workloads or CHAOS_WORKLOADS:
         _program, _out, default_mib = _build_program(name, seed)
         mib = memory_mib if memory_mib is not None else default_mib
-        free_bytes, free_digest, free_elapsed, _v, _a, _c, _t, _d = _run_once(
+        free_bytes, free_digest, free_elapsed, _v, _a, _c, _t = _run_once(
             name, seed, mib, None, cadence, strict
         )
         (
             chaos_bytes, chaos_digest, chaos_elapsed,
-            validator, actions, counters, chaos_tracer, log_dropped,
+            validator, actions, counters, chaos_tracer,
         ) = _run_once(
             name, seed, mib, chaos, cadence, strict, trace_config
         )
-        (
-            _repeat_bytes, repeat_digest, _e, _v2, _a2, _c2,
-            repeat_tracer, _d2,
-        ) = _run_once(
-            name, seed, mib, chaos, cadence, strict, trace_config
+        _repeat_bytes, repeat_digest, _e, _v2, _a2, _c2, repeat_tracer = (
+            _run_once(name, seed, mib, chaos, cadence, strict, trace_config)
         )
-        chaos_td = chaos_tracer.digest() if chaos_tracer is not None else ""
-        repeat_td = repeat_tracer.digest() if repeat_tracer is not None else ""
+        chaos_td = chaos_tracer.digest()
+        repeat_td = repeat_tracer.digest()
         report.results.append(
             ChaosWorkloadResult(
                 workload=name,
@@ -406,10 +387,9 @@ def run_chaos_suite(
                 fault_free_seconds=free_elapsed,
                 chaos_seconds=chaos_elapsed,
                 counters=counters,
-                log_dropped=log_dropped,
                 chaos_trace_digest=chaos_td,
                 repeat_trace_digest=repeat_td,
-                chaos_tracer=chaos_tracer,
+                chaos_tracer=chaos_tracer if trace_config is not None else None,
             )
         )
     return report

@@ -111,14 +111,6 @@ def _execute_points(
     return results
 
 
-def _report_log_dropped(results: List[ExperimentResult]) -> None:
-    """Surface ring-buffer losses: a dropped entry means the retained
-    event log is a suffix, not the whole story."""
-    dropped = sum(result.log_dropped for result in results)
-    if dropped:
-        print(f"event-log ring buffer dropped {dropped} entries across runs")
-
-
 def _run_micro(
     kind: str, scale: float, link_name: str, trace: Optional[str] = None,
     fast: bool = False,
@@ -199,7 +191,6 @@ def cmd_run(args) -> int:
     except FastModelError as exc:
         print(f"fast model unavailable: {exc}", file=sys.stderr)
         return 2
-    _report_log_dropped(results)
     if args.csv:
         with open(args.csv, "w") as handle:
             handle.write(results_to_csv(results))
@@ -300,9 +291,6 @@ def cmd_sweep(args) -> int:
             f"blob store: {stats['builds_distinct']} distinct prefixes, "
             f"{stats['builds_total']} builds, {stats['bytes']} bytes shared"
         )
-    _report_log_dropped(
-        [result for result in report.results if result is not None]
-    )
     if args.csv:
         rows = [result for result in report.results if result is not None]
         with open(args.csv, "w") as handle:
@@ -544,7 +532,6 @@ def cmd_trace(args) -> int:
             f"{point.label}: {result.elapsed_seconds:.6f} s simulated, "
             f"{result.traffic_gb:.3f} GB traffic"
         )
-        _report_log_dropped([result])
         print()
         print(
             phase_breakdown_table(

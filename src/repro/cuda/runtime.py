@@ -51,7 +51,7 @@ from repro.cuda.stream import CudaStream, synchronize_all
 from repro.driver.config import UvmDriverConfig
 from repro.driver.driver import CPU, UvmDriver
 from repro.engine.core import Environment, Process
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, OutOfMemoryError, SimulationError
 from repro.gpu.access import IrregularPattern, SequentialPattern, StridedPattern
 from repro.gpu.executor import GpuExecutor
 from repro.instrument.trace import NULL_TRACER
@@ -531,7 +531,19 @@ class CudaRuntime:
         classifier finalized.
         """
         process = self.env.process(program(self))
-        self.env.run(until=process)
+        try:
+            self.env.run(until=process)
+        except SimulationError:
+            if self.env.quiescent and self.driver.frame_waiters:
+                # Memory deadlock: operations each pin blocks, then park
+                # waiting for a frame another one holds, and nothing is
+                # left to release one.  The device is simply too small.
+                raise OutOfMemoryError(
+                    f"{self.gpu.name}: memory deadlock — "
+                    f"{self.driver.frame_waiters} operations wait for "
+                    "frames that concurrent operations pin"
+                ) from None
+            raise
         self.env.run()
         self.driver.finalize()
         return self.env.now

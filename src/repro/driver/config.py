@@ -10,7 +10,6 @@ fault batch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.units import us
 
@@ -100,12 +99,6 @@ class UvmDriverConfig:
     # --- instrumentation --------------------------------------------------
     #: Retain individual transfer records (memory-heavy; tests only).
     keep_transfer_records: bool = False
-    #: Enable the bounded event log.
-    event_log_enabled: bool = False
-    #: Ring-buffer capacity of the event log; the oldest entries are
-    #: dropped (and counted in ``EventLog.dropped``) once it fills.
-    #: ``None`` retains every entry — unbounded, tests only.
-    event_log_capacity: Optional[int] = 10_000
 
     def validate(self) -> None:
         """Sanity-check all cost parameters (non-negative)."""
@@ -132,9 +125,4 @@ class UvmDriverConfig:
             raise ValueError(
                 "UvmDriverConfig.transfer_max_retries must be >= 0, got "
                 f"{self.transfer_max_retries}"
-            )
-        if self.event_log_capacity is not None and self.event_log_capacity < 1:
-            raise ValueError(
-                "UvmDriverConfig.event_log_capacity must be None or >= 1, "
-                f"got {self.event_log_capacity}"
             )

@@ -33,7 +33,6 @@ from repro.errors import (
     SimulationError,
 )
 from repro.instrument.counters import Counters
-from repro.instrument.eventlog import EventLog
 from repro.instrument.rmt import RmtClassifier
 from repro.instrument.trace import NULL_TRACER
 from repro.instrument.traffic import TrafficRecorder, TransferDirection, TransferReason
@@ -81,6 +80,11 @@ class _GpuState:
 class UvmDriver:
     """Simulated UVM driver for one host plus one or more GPUs."""
 
+    #: Operations parked in :meth:`_acquire_frame` waiting for another
+    #: operation's block lock.  A class-level default, so snapshots
+    #: pickled before the counter existed still load.
+    frame_waiters = 0
+
     def __init__(
         self,
         env: Environment,
@@ -98,7 +102,6 @@ class UvmDriver:
         self.traffic = TrafficRecorder()
         self.rmt = RmtClassifier()
         self.counters = Counters()
-        self.log = EventLog(capacity=config.event_log_capacity)
         self.oracle = oracle or DataOracle()
         self.migration = MigrationEngine(
             env, link, self.traffic, self.rmt, counters=self.counters
@@ -177,8 +180,8 @@ class UvmDriver:
         re-applies its own point's knobs before the measured body runs.
         Accumulated instrument state is deliberately untouched — it is
         part of the simulation history being continued.  Knobs baked
-        into the prefix itself (page-table implementation, event-log
-        capacity) are grouped apart by the sweep's prefix key instead.
+        into the prefix itself (the page-table implementation) are
+        grouped apart by the sweep's prefix key instead.
         """
         self._apply_config(config)
 
@@ -195,7 +198,6 @@ class UvmDriver:
         self._policy_fifo = config.eviction_policy == "fifo"
         self.migration.max_retries = config.transfer_max_retries
         self.migration.retry_backoff = config.transfer_retry_backoff
-        self.log.enabled = config.event_log_enabled
         self.traffic._keep_records = config.keep_transfer_records
 
     # ------------------------------------------------------------------
@@ -288,8 +290,6 @@ class UvmDriver:
             blocks=blocks,
             inflight=frozenset(self._inflight),
             cpu_mapped=self.cpu_page_table.mapped_indices(),
-            event_log_entries=len(self.log),
-            event_log_dropped=self.log.dropped,
         )
 
     def sample_occupancy(self) -> List[tuple]:
@@ -453,10 +453,6 @@ class UvmDriver:
             g.allocator.retire(1)
             retired += 1
             counters.bump(Counters.ECC_RETIRED_FRAMES)
-            if self.log.enabled:
-                self.log.log(
-                    self.env.now, "ecc", "retired one frame on %s", g.name
-                )
             tracer = self.tracer
             if tracer.enabled:
                 tracer.instant(
@@ -559,7 +555,11 @@ class UvmDriver:
             if event is None:
                 event = self.env.event()
                 self._inflight[foreign_index] = event
-            yield event  # type: ignore[misc]
+            self.frame_waiters += 1
+            try:
+                yield event  # type: ignore[misc]
+            finally:
+                self.frame_waiters -= 1
 
     def _pop_unlocked(self, pop, restore) -> Optional[VaBlock]:
         """Pop the first queue entry with no in-flight residency operation.
@@ -654,10 +654,6 @@ class UvmDriver:
         if frame is not None:
             g.allocator.free(frame)
         self.counters.bump(Counters.EVICTED_DISCARDED_BLOCKS)
-        if self.log.enabled:
-            self.log.log(
-                self.env.now, "evict", "reclaimed discarded block %d", block.index
-            )
         if cost:
             yield self.env.timeout(cost)
         if tracer.enabled:
@@ -693,8 +689,6 @@ class UvmDriver:
         if frame is not None:
             g.allocator.free(frame)
         self.counters.bump(Counters.EVICTED_BLOCKS)
-        if self.log.enabled:
-            self.log.log(self.env.now, "evict", "swapped out block %d", block.index)
         if tracer.enabled:
             now = self.env.now
             tracer.span(
@@ -966,7 +960,7 @@ class UvmDriver:
             # four extra generator frames; flattening it is the single
             # biggest host-side win on the fault path.  Every branch
             # below mirrors that chain exactly (same timeouts, same
-            # ordering of counter/traffic/log side effects); anything
+            # ordering of counter/traffic side effects); anything
             # off the fast case falls back to the original generators.
             fast_evict = (
                 self.chaos is None
@@ -990,7 +984,6 @@ class UvmDriver:
             traffic = migration.traffic
             rmt = migration.rmt
             counters = self.counters
-            log = self.log
             d2h = TransferDirection.DEVICE_TO_HOST
             evict_reason = TransferReason.EVICTION
             evicted_counter = Counters.EVICTED_BLOCKS
@@ -1070,8 +1063,6 @@ class UvmDriver:
                     if vframe is not None:
                         allocator.free(vframe)
                     counters.bump(evicted_counter)
-                    if log.enabled:
-                        log.log(env.now, "evict", "swapped out block %d", index)
                 finally:
                     event = inflight.pop(index, _MISSING)
                     if event is not None and event is not _MISSING:
@@ -1099,11 +1090,6 @@ class UvmDriver:
                 block.populated = True
                 self._touch_used(g, block)
                 self.counters.bump(Counters.ZEROED_BLOCKS)
-                if was_discarded and self.log.enabled:
-                    self.log.log(
-                        self.env.now, "zero",
-                        "skipped H2D transfer for discarded block %d", block.index,
-                    )
                 if was_discarded and tracer.enabled:
                     tracer.instant(
                         f"{g.name}/discard",

@@ -65,11 +65,6 @@ class DriverInspection:
     inflight: FrozenSet[int]
     #: Block indices mapped in the CPU page table.
     cpu_mapped: FrozenSet[int]
-    #: EventLog entries currently held in the ring buffer.
-    event_log_entries: int = 0
-    #: EventLog entries evicted by the ring buffer — a non-zero value
-    #: means the log is a *suffix* of the run, not a complete record.
-    event_log_dropped: int = 0
 
     def gpu(self, name: str) -> GpuView:
         return self.gpus[name]

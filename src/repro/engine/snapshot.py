@@ -4,7 +4,7 @@ A snapshot captures an entire simulation object graph — typically a
 :class:`~repro.cuda.runtime.CudaRuntime`, i.e. the
 :class:`~repro.engine.core.Environment` (clock, recycled-timeout pool),
 the driver (va_blocks, page queues, frame allocators, in-flight locks),
-the instruments (traffic, RMT, counters, event log) and the GPU
+the instruments (traffic, RMT, counters) and the GPU
 executors — by pickling it **exactly once** into an immutable blob.
 :meth:`EngineSnapshot.fork` is then a single ``pickle.loads`` of that
 blob, yielding an independent restored simulation that continues
@@ -36,10 +36,10 @@ Three details make the restored copy exact:
   untraced runs stay on the zero-cost no-op path after a fork.
 
 Forked runs are indistinguishable from cold runs in every *observable*:
-simulated times, traffic bytes, RMT classification, counters, event-log
-entries.  The only divergent internals are event sequence numbers (the
-fork's counter continues from the prefix, a cold run's counts setup
-bootstrap events too) and the identity of recycled timeout objects —
+simulated times, traffic bytes, RMT classification, counters.  The only
+divergent internals are event sequence numbers (the fork's counter
+continues from the prefix, a cold run's counts setup bootstrap events
+too) and the identity of recycled timeout objects —
 both are tie-breakers/allocation details with no behavioural effect
 when the heap is empty at the boundary, which tests pin down
 (``tests/test_snapshot_fork.py``, ``tests/test_snapshot_blob.py``).
@@ -47,6 +47,7 @@ when the heap is empty at the boundary, which tests pin down
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -418,6 +419,22 @@ class SnapshotPool:
             }
 
 
+@functools.lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """sha256 over every ``repro/**/*.py`` file (relative path and bytes).
+
+    Computed once per process.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
 class BlobClaim:
     """A cross-process single-flight build token from
     :meth:`BlobStore.fetch_or_claim`.
@@ -458,10 +475,10 @@ class BlobStore:
 
     One directory per host (or per sweep) holds serialized prefix
     snapshots, content-addressed by :func:`repro.harness.sweep.prefix_key`
-    (``sha256`` of the key's ``repr``).  Sweep pool workers and serve
-    process workers share the directory, so each popular prefix is
-    *built once per host* and every other worker forks from the
-    published blob instead of re-running setup.
+    and :func:`source_fingerprint` (see :meth:`key_id`).  Sweep pool
+    workers and serve process workers share the directory, so each
+    popular prefix is *built once per host* and every other worker
+    forks from the published blob instead of re-running setup.
 
     Like :class:`SnapshotPool` it is byte-budgeted with LRU eviction
     (recency = blob file mtime, refreshed on every hit) and refuses
@@ -511,8 +528,13 @@ class BlobStore:
 
     @staticmethod
     def key_id(key: Tuple) -> str:
-        """Stable content address for a prefix key."""
-        return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+        """Content address for a prefix key under this source tree.
+
+        The fingerprint makes a blob pickled by other code a miss, so a
+        store never unpickles an object graph into classes that changed.
+        """
+        payload = f"{source_fingerprint()}\x00{key!r}"
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _blob_path(self, kid: str) -> Path:
         return self.root / f"{kid}.blob"

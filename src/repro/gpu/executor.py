@@ -100,7 +100,7 @@ class GpuExecutor:
             restart = True
             while restart:
                 restart = False
-                for wave_index, wave in enumerate(waves):
+                for wave in waves:
                     # One fault batch per wave: the GPU's fault buffer fills
                     # with every miss the wave's warps produce, and the driver
                     # services them together.
@@ -133,9 +133,7 @@ class GpuExecutor:
                     # and ``kernel.fn`` runs only once, after the final
                     # successful pass — so functional results are
                     # unaffected.
-                    if chaos is not None and chaos.kernel_abort(
-                        self, kernel, wave_index
-                    ):
+                    if chaos is not None and chaos.kernel_abort(self, kernel):
                         restart = True
                         restarts += 1
                         break

@@ -78,13 +78,7 @@ def _bench_engine_churn() -> Dict[str, float]:
 
 
 def _bench_fault_storm() -> Dict[str, float]:
-    """Driver fault/evict churn at 2x oversubscription, no workload.
-
-    Runs with a deliberately small event-log ring buffer so the
-    ``log_dropped`` companion metric exercises (and pins) the
-    overflow-accounting path under load.
-    """
-    from repro.driver.config import UvmDriverConfig
+    """Driver fault/evict churn at 2x oversubscription, no workload."""
     from repro.driver.driver import UvmDriver
     from repro.driver.va_block import VaBlock
     from repro.engine.core import Environment
@@ -92,11 +86,7 @@ def _bench_fault_storm() -> Dict[str, float]:
     from repro.units import BIG_PAGE
 
     env = Environment()
-    driver = UvmDriver(
-        env,
-        pcie_gen4(),
-        config=UvmDriverConfig(event_log_enabled=True, event_log_capacity=200),
-    )
+    driver = UvmDriver(env, pcie_gen4())
     gpu_blocks = 64
     total_blocks = gpu_blocks * 2
     driver.register_gpu("gpu0", gpu_blocks * BIG_PAGE)
@@ -121,7 +111,6 @@ def _bench_fault_storm() -> Dict[str, float]:
         "fault_batches": float(
             driver.counters[driver.counters.GPU_FAULT_BATCHES]
         ),
-        "log_dropped": float(driver.log.dropped),
     }
 
 
@@ -253,10 +242,7 @@ def run_benchmarks(
         entry.update(metrics)
         results[name] = entry
         if progress is not None:
-            note = ""
-            if metrics.get("log_dropped"):
-                note = f", log_dropped={metrics['log_dropped']:.0f}"
-            progress(f"{name}: {best_wall:.4f} s (best of {repeat}{note})")
+            progress(f"{name}: {best_wall:.4f} s (best of {repeat})")
     return results
 
 

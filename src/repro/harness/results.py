@@ -30,8 +30,9 @@ class ExperimentResult:
     counters: Dict[str, int] = field(default_factory=dict)
     #: Workload-specific headline metric (e.g. images/second).
     metric: Optional[float] = None
-    #: EventLog entries evicted by the ring buffer during the run; > 0
-    #: means the retained log is a suffix, not a complete record.
+    #: Trace records the run's tracer dropped past
+    #: ``TraceConfig.max_records`` (0 when untraced); > 0 means the
+    #: trace is a prefix of the run, not a complete record.
     log_dropped: int = 0
     #: Byte-attribution summary (waste decomposition + per-buffer
     #: totals) — populated only when the driver retained transfer
@@ -66,7 +67,7 @@ class ExperimentResult:
             useful_gb=to_gb(rmt.useful_bytes),
             counters=runtime.driver.counters.as_dict(),
             metric=metric,
-            log_dropped=runtime.driver.log.dropped,
+            log_dropped=runtime.tracer.dropped,
             attribution=attribution,
         )
 

@@ -396,7 +396,7 @@ def execute_point(point: SweepPoint) -> Optional[ExperimentResult]:
 # ----------------------------------------------------------------------
 
 #: Driver-config fields that influence the *setup* prefix (CPU faults
-#: during host initialization, instrumentation that records them, and
+#: during host initialization, the transfer records that keep them, and
 #: the page-table implementation, fixed when the prefix builds its
 #: tables).  Two points may share one prefix snapshot only when these
 #: agree; every other knob is setup-inert and is re-applied per fork via
@@ -404,8 +404,6 @@ def execute_point(point: SweepPoint) -> Optional[ExperimentResult]:
 SETUP_AFFECTING_DRIVER_KEYS = frozenset(
     {
         "cpu_fault_overhead",
-        "event_log_enabled",
-        "event_log_capacity",
         "keep_transfer_records",
         "vectorized",
     }

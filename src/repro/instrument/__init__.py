@@ -15,7 +15,6 @@ time-series gauges and histograms — see docs/OBSERVABILITY.md.
 """
 
 from repro.instrument.counters import Counters
-from repro.instrument.eventlog import EventLog
 from repro.instrument.metrics import (
     EngineMonitorSampler,
     Gauge,
@@ -23,7 +22,6 @@ from repro.instrument.metrics import (
     MetricsRegistry,
 )
 from repro.instrument.rmt import RmtClassifier, TransferFate
-from repro.instrument.timeline import Span, Timeline
 from repro.instrument.trace import (
     NULL_TRACER,
     NullTracer,
@@ -36,7 +34,6 @@ from repro.instrument.traffic import TrafficRecorder, TransferReason, TransferRe
 
 __all__ = [
     "Counters",
-    "EventLog",
     "EngineMonitorSampler",
     "Gauge",
     "Histogram",
@@ -47,8 +44,6 @@ __all__ = [
     "TraceConfig",
     "Tracer",
     "TransferFate",
-    "Span",
-    "Timeline",
     "TrafficRecorder",
     "TransferReason",
     "TransferRecord",

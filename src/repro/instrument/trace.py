@@ -9,7 +9,7 @@ in Perfetto or ``chrome://tracing`` as a timeline.
 
 Design constraints, in order:
 
-1. **Free when disabled.**  Instrumented objects hold
+1. **Free when not installed.**  Instrumented objects hold
    :data:`NULL_TRACER` (a no-op singleton with ``enabled = False``); hot
    paths do a single attribute load plus a truth test and skip all span
    bookkeeping.  The engine's inner run loops are not instrumented at
@@ -49,18 +49,17 @@ _SECONDS_TO_US = 1e6
 
 
 class TraceConfig:
-    """Switches for the tracing/metrics subsystem.
+    """Settings of one :class:`Tracer`.
 
-    ``enabled=False`` makes :meth:`Tracer.install` a no-op, leaving
-    :data:`NULL_TRACER` on every instrumented object — the disabled
-    configuration costs nothing beyond the dormant attribute checks.
+    An untraced run installs no tracer at all and keeps
+    :data:`NULL_TRACER` on every instrumented object — it costs nothing
+    beyond the dormant attribute checks.
     """
 
-    __slots__ = ("enabled", "metrics_cadence", "max_records")
+    __slots__ = ("metrics_cadence", "max_records")
 
     def __init__(
         self,
-        enabled: bool = True,
         metrics_cadence: int = 256,
         max_records: Optional[int] = None,
     ) -> None:
@@ -68,7 +67,6 @@ class TraceConfig:
             raise ValueError(f"metrics_cadence must be >= 0, got {metrics_cadence}")
         if max_records is not None and max_records < 1:
             raise ValueError(f"max_records must be >= 1, got {max_records}")
-        self.enabled = bool(enabled)
         #: Engine events between metric samples; 0 disables the sampler.
         self.metrics_cadence = metrics_cadence
         #: Record-count ceiling; beyond it new spans are counted as
@@ -88,6 +86,7 @@ class NullTracer:
     __slots__ = ()
 
     enabled = False
+    dropped = 0
 
     def span(self, *args: Any, **kwargs: Any) -> int:
         return -1
@@ -125,7 +124,12 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Records spans/instants in simulated time and exports Chrome JSON."""
+    """Records spans/instants in simulated time and exports Chrome JSON.
+
+    The one recorder of run events: driver decisions (faults, evictions,
+    discards, frame retirements), DMA commands, kernels, CUDA calls and
+    chaos injections all land in :attr:`events`.
+    """
 
     __slots__ = (
         "config",
@@ -142,7 +146,9 @@ class Tracer:
 
     def __init__(self, config: Optional[TraceConfig] = None) -> None:
         self.config = config if config is not None else TraceConfig()
-        self.enabled = self.config.enabled
+        #: Always ``True``; a slot (not a class constant) so the traced
+        #: hot paths' ``tracer.enabled`` test stays one slot load.
+        self.enabled = True
         #: Flat record list; a record's position is its stable span id.
         #: Span:    ("X", track, name, category, start, end, args)
         #: Instant: ("i", track, name, category, when, args)
@@ -221,11 +227,8 @@ class Tracer:
 
         Replaces each object's ``tracer`` attribute with ``self`` (saving
         the previous value for :meth:`uninstall`) and, when the config
-        asks for it, installs the engine-monitor metrics sampler.  A
-        disabled tracer attaches nothing.
+        asks for it, installs the engine-monitor metrics sampler.
         """
-        if not self.enabled:
-            return self
         if self._runtime is not None:
             raise RuntimeError("tracer is already installed")
         self._runtime = runtime
@@ -285,6 +288,38 @@ class Tracer:
             category = record[3]
             totals[category] = totals.get(category, 0.0) + (record[5] - record[4])
         return totals
+
+    def _intervals(self, track: str) -> List[Tuple[float, float]]:
+        """``(start, end)`` of every span on ``track``, in start order."""
+        return sorted(
+            (record[4], record[5])
+            for record in self.events
+            if record[0] == "X" and record[1] == track
+        )
+
+    def busy_seconds(self, track: str) -> float:
+        """Total simulated seconds of the spans on ``track`` (e.g.
+        ``gpu0/compute``, ``link/h2d``, ``link/d2h``): its busy time
+        whenever, as on a one-GPU run, the track's spans never overlap."""
+        return sum(end - start for start, end in self._intervals(track))
+
+    def overlap_seconds(self, track_a: str, track_b: str) -> float:
+        """Simulated seconds during which both tracks were busy at once
+        — e.g. the compute/H2D overlap that prefetching buys."""
+        spans_a = self._intervals(track_a)
+        spans_b = self._intervals(track_b)
+        total = 0.0
+        i = j = 0
+        while i < len(spans_a) and j < len(spans_b):
+            start = max(spans_a[i][0], spans_b[j][0])
+            end = min(spans_a[i][1], spans_b[j][1])
+            if end > start:
+                total += end - start
+            if spans_a[i][1] <= spans_b[j][1]:
+                i += 1
+            else:
+                j += 1
+        return total
 
     def to_chrome_trace(self) -> Dict[str, Any]:
         """Build a Chrome-trace-event dict (Perfetto/chrome://tracing)."""

@@ -7,7 +7,8 @@ FIR workload:
 
 1. every online invariant check passes (strict validator never fires),
 2. the functional output is byte-identical to the fault-free oracle,
-3. the same seed reproduces the same event trace and injection log.
+3. the same seed reproduces the same event trace, tracer records and
+   injection log.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.chaos import ChaosConfig, ChaosInjector, OnlineValidator, trace_diges
 from repro.chaos.workloads import functional_fir
 from repro.cuda.runtime import CudaRuntime
 from repro.driver.config import UvmDriverConfig
+from repro.instrument.trace import TraceConfig, Tracer
 from repro.units import MIB
 
 #: Input data for the workload under test: fixed across the whole module
@@ -32,15 +34,13 @@ TAPS = _DATA_RNG.standard_normal(15)
 
 
 def run_fir(config):
-    """One validated run; returns (output bytes, digest, actions)."""
+    """One validated, traced run; returns (output bytes, digest, tracer
+    digest, actions)."""
     runtime = CudaRuntime(
         gpu=tiny_gpu(8),
-        driver_config=UvmDriverConfig(
-            keep_transfer_records=True,
-            event_log_enabled=True,
-            event_log_capacity=None,
-        ),
+        driver_config=UvmDriverConfig(keep_transfer_records=True),
     )
+    tracer = Tracer(TraceConfig(metrics_cadence=0)).install(runtime)
     validator = OnlineValidator(runtime.driver, cadence=16, strict=True)
     validator.install(runtime.env)
     injector = None
@@ -60,12 +60,16 @@ def run_fir(config):
         validator.uninstall()
         if injector is not None:
             injector.uninstall()
+        tracer.uninstall()
     actions = list(injector.actions) if injector is not None else []
-    return out["result"].tobytes(), trace_digest(runtime), actions
+    return (
+        out["result"].tobytes(), trace_digest(runtime), tracer.digest(),
+        actions,
+    )
 
 
 #: The fault-free oracle, computed once.
-FAULT_FREE_BYTES, FAULT_FREE_DIGEST, _ = run_fir(None)
+FAULT_FREE_BYTES, FAULT_FREE_DIGEST, _, _ = run_fir(None)
 
 intervals = st.sampled_from([0, 5, 12, 25, 60])
 probabilities = st.sampled_from([0.0, 0.1, 0.4])
@@ -94,14 +98,17 @@ chaos_configs = st.builds(
 @given(config=chaos_configs)
 def test_random_chaos_schedule_preserves_invariants_and_results(config):
     config.validate()
-    chaos_bytes, chaos_digest, actions = run_fir(config)
+    chaos_bytes, chaos_digest, chaos_tracer_digest, actions = run_fir(config)
     # 1. strict validator raised nowhere (we got here), and
     # 2. outputs are byte-identical to the fault-free oracle.
     assert chaos_bytes == FAULT_FREE_BYTES
-    # 3. the same seed reproduces the same trace and injection log.
-    repeat_bytes, repeat_digest, repeat_actions = run_fir(config)
+    # 3. the same seed reproduces the same trace, records and injections.
+    (
+        repeat_bytes, repeat_digest, repeat_tracer_digest, repeat_actions,
+    ) = run_fir(config)
     assert repeat_bytes == chaos_bytes
     assert repeat_digest == chaos_digest
+    assert repeat_tracer_digest == chaos_tracer_digest
     assert repeat_actions == actions
 
 
@@ -118,7 +125,7 @@ def test_default_storm_is_deterministic_per_seed(seed):
 def test_chaos_changes_the_trace_but_not_the_data():
     """A schedule with every mechanism on perturbs timing, not results."""
     config = ChaosConfig.default_storm(seed=5)
-    chaos_bytes, chaos_digest, actions = run_fir(config)
+    chaos_bytes, chaos_digest, _, actions = run_fir(config)
     assert actions, "storm preset injected nothing on this workload"
     assert chaos_bytes == FAULT_FREE_BYTES
     assert chaos_digest != FAULT_FREE_DIGEST

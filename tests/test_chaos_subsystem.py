@@ -500,6 +500,16 @@ class TestChaosSuiteAndCli:
         with pytest.raises(ValueError):
             run_chaos_suite(workloads=["nope"])
 
+    def test_verdict_always_checks_the_tracer_digest(self):
+        """Every chaos run records through a tracer, so the determinism
+        verdict compares the two chaos runs' records even without an
+        export; the tracers themselves are kept only for an export."""
+        (result,) = run_chaos_suite(seed=7, workloads=["fir"]).results
+        assert result.chaos_trace_digest
+        assert result.chaos_trace_digest == result.repeat_trace_digest
+        assert result.trace_reproducible
+        assert result.chaos_tracer is None
+
     def test_cli_chaos_smoke(self, capsys):
         from repro.cli import main
 

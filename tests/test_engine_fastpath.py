@@ -2,8 +2,8 @@
 
 The optimized engine takes shortcuts — synchronous continuation through
 already-processed events, ``try_acquire`` grants that never touch the
-heap, recycled :class:`Timeout` objects, lazily formatted log entries.
-These tests pin down the semantics the shortcuts must preserve.
+heap, recycled :class:`Timeout` objects.  These tests pin down the
+semantics the shortcuts must preserve.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 from repro.engine.core import Environment, Timeout
 from repro.engine.resources import Request, Resource, Store
 from repro.errors import SimulationError
-from repro.instrument.eventlog import EventLog, LogEntry
 
 
 class Boom(RuntimeError):
@@ -242,55 +241,3 @@ class TestTimeoutRecycling:
         assert isinstance(kept["timeout"], Timeout)
         assert kept["timeout"].delay == 2.0
 
-
-class _Grenade:
-    """Formatting sentinel: any stringification is a test failure."""
-
-    def __str__(self):
-        raise AssertionError("sentinel was formatted")
-
-    __repr__ = __str__
-    __format__ = None  # belt and braces: format() would TypeError
-
-
-class TestEventLogLaziness:
-    def test_disabled_log_never_formats(self):
-        log = EventLog(enabled=False)
-        log.log(0.0, "evict", "reclaimed block %s", _Grenade())
-        assert len(log) == 0
-
-    def test_enabled_log_defers_formatting_until_read(self):
-        log = EventLog(enabled=True)
-        log.log(0.0, "evict", "reclaimed block %s", _Grenade())
-        entry = log.entries()[0]
-        assert entry._args  # still raw: nothing interpolated yet
-        with pytest.raises(AssertionError, match="sentinel was formatted"):
-            _ = entry.message
-
-    def test_interpolation_happens_once_and_caches(self):
-        class Counting:
-            calls = 0
-
-            def __str__(self):
-                Counting.calls += 1
-                return "block-7"
-
-        log = EventLog(enabled=True)
-        log.log(1.0, "fault", "migrated %s", Counting())
-        entry = log.entries()[0]
-        assert entry.message == "migrated block-7"
-        assert entry.message == "migrated block-7"
-        assert Counting.calls == 1
-
-    def test_formatted_entries_compare_and_hash_on_message(self):
-        eager = LogEntry(1.0, "fault", "migrated block-7")
-        lazy = LogEntry(1.0, "fault", "migrated %s", "block-7")
-        assert eager == lazy
-        assert hash(eager) == hash(lazy)
-        assert "migrated block-7" in str(lazy)
-
-    def test_plain_message_without_args_untouched(self):
-        log = EventLog(enabled=True)
-        log.log(0.0, "note", "literal 100%% done")
-        # No args: the template is the message, %-escapes included.
-        assert log.entries()[0].message == "literal 100%% done"

@@ -1,5 +1,5 @@
-"""Tests for the instrumentation: traffic recorder, RMT classifier,
-counters and the event log."""
+"""Tests for the instrumentation: traffic recorder, RMT classifier and
+counters."""
 
 import pytest
 from hypothesis import given
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.instrument import (
     Counters,
-    EventLog,
     RmtClassifier,
     TrafficRecorder,
     TransferReason,
@@ -184,79 +183,3 @@ class TestCounters:
         counters.bump("x")
         counters.reset()
         assert counters["x"] == 0
-
-
-class TestEventLog:
-    def test_disabled_by_default(self):
-        log = EventLog()
-        log.log(0.0, "evict", "msg")
-        assert len(log) == 0
-
-    def test_enabled_records(self):
-        log = EventLog(enabled=True)
-        log.log(1.0, "evict", "one")
-        log.log(2.0, "zero", "two")
-        assert len(log) == 2
-        assert [e.category for e in log] == ["evict", "zero"]
-        assert log.entries("zero")[0].message == "two"
-
-    def test_bounded_capacity(self):
-        log = EventLog(capacity=3, enabled=True)
-        for i in range(10):
-            log.log(float(i), "c", str(i))
-        assert [e.message for e in log] == ["7", "8", "9"]
-
-    def test_truncation_reports_dropped_count(self):
-        log = EventLog(capacity=4, enabled=True)
-        assert log.capacity == 4
-        for i in range(4):
-            log.log(float(i), "c", str(i))
-        assert log.dropped == 0
-        for i in range(4, 11):
-            log.log(float(i), "c", str(i))
-        assert log.dropped == 7
-        assert len(log) == 4
-
-    def test_unbounded_never_drops(self):
-        log = EventLog(capacity=None, enabled=True)
-        for i in range(10_001):
-            log.log(float(i), "c", "m")
-        assert log.dropped == 0
-        assert len(log) == 10_001
-
-    def test_disabled_logging_does_not_drop(self):
-        log = EventLog(capacity=1, enabled=False)
-        for i in range(5):
-            log.log(float(i), "c", "m")
-        assert log.dropped == 0
-        assert len(log) == 0
-
-    def test_clear(self):
-        log = EventLog(enabled=True)
-        log.log(0.0, "c", "m")
-        log.clear()
-        assert len(log) == 0
-
-    def test_clear_resets_dropped(self):
-        log = EventLog(capacity=1, enabled=True)
-        log.log(0.0, "c", "a")
-        log.log(1.0, "c", "b")
-        assert log.dropped == 1
-        log.clear()
-        assert log.dropped == 0
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            EventLog(capacity=0)
-
-    def test_event_log_capacity_validated(self):
-        from repro.driver.config import UvmDriverConfig
-
-        with pytest.raises(ValueError):
-            UvmDriverConfig(event_log_capacity=0).validate()
-        UvmDriverConfig(event_log_capacity=None).validate()
-
-    def test_str_rendering(self):
-        log = EventLog(enabled=True)
-        log.log(1e-6, "evict", "reclaimed")
-        assert "evict" in str(log.entries()[0])

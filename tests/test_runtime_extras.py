@@ -1,36 +1,35 @@
-"""Coverage for runtime/driver extras: event log wiring, host_update,
+"""Coverage for runtime/driver extras: driver trace records, host_update,
 per-device memcpy engines."""
 
 import pytest
 
 from conftest import tiny_gpu
 
-from repro import AccessMode, CudaRuntime
-from repro.driver.config import UvmDriverConfig
+from repro import CudaRuntime, Tracer
+from repro.instrument.trace import NULL_TRACER
 from repro.instrument.traffic import TransferDirection
 from repro.units import MIB
 
 
-class TestDriverEventLog:
-    def test_driver_logs_when_enabled(self):
-        config = UvmDriverConfig(event_log_enabled=True)
-        runtime = CudaRuntime(gpu=tiny_gpu(8), driver_config=config)
+class TestDriverTraceRecords:
+    def test_driver_records_reclaims_and_discards(self):
+        runtime = CudaRuntime(gpu=tiny_gpu(8))
+        tracer = Tracer().install(runtime)
         buffer = runtime.malloc_managed(6 * MIB, "a")
         other = runtime.malloc_managed(6 * MIB, "b")
 
         def program(cuda):
             cuda.prefetch_async(buffer)
             cuda.discard_async(buffer, mode="eager")
-            cuda.prefetch_async(other)  # pressure -> reclaim + zero logs
+            cuda.prefetch_async(other)  # pressure -> transfer-free reclaims
             yield from cuda.synchronize()
 
         runtime.run(program)
-        log = runtime.driver.log
-        assert len(log) > 0
-        categories = {entry.category for entry in log}
-        assert "evict" in categories or "zero" in categories
+        names = {(r[1], r[2]) for r in tracer.events}
+        assert ("driver/discard", "UvmDiscard") in names
+        assert ("gpu0/evict", "reclaim_discarded") in names
 
-    def test_log_silent_by_default(self):
+    def test_untraced_run_records_nothing(self):
         runtime = CudaRuntime(gpu=tiny_gpu(8))
         buffer = runtime.malloc_managed(6 * MIB, "a")
 
@@ -39,7 +38,8 @@ class TestDriverEventLog:
             yield from cuda.synchronize()
 
         runtime.run(program)
-        assert len(runtime.driver.log) == 0
+        assert runtime.driver.tracer is NULL_TRACER
+        assert runtime.tracer.dropped == 0
 
 
 class TestHostUpdate:

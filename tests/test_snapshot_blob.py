@@ -244,6 +244,27 @@ class TestBlobStore:
         assert store.get(key) == b"payload"
         assert not (tmp_path / f"{BlobStore.key_id(key)}.lock").exists()
 
+    def test_blob_from_other_source_is_a_miss_and_rebuilt(
+        self, tmp_path, monkeypatch
+    ):
+        """A blob pickled by other code (different source fingerprint)
+        is never handed to this code: its key id differs."""
+        import repro.engine.snapshot as snapshot_module
+
+        key = ("fir", "gen4", 0.01)
+        monkeypatch.setattr(
+            snapshot_module, "source_fingerprint", lambda: "0" * 64
+        )
+        _, claim = BlobStore(tmp_path).fetch_or_claim(key)
+        assert claim.publish(b"old class layout")
+        monkeypatch.undo()
+        store = BlobStore(tmp_path)
+        blob, claim = store.fetch_or_claim(key)
+        assert blob is None and claim is not None
+        assert claim.publish(b"current class layout")
+        assert store.get(key) == b"current class layout"
+        assert sorted(store.build_counts().values()) == [1, 1]
+
     def test_abandon_releases_the_lock(self, tmp_path):
         store = BlobStore(tmp_path)
         key = ("radix",)

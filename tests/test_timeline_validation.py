@@ -1,4 +1,5 @@
-"""Tests for the timeline exporter and the invariant checker."""
+"""Tests for the tracer's track queries and Chrome export, and the
+invariant checker."""
 
 import json
 
@@ -6,31 +7,26 @@ import pytest
 
 from conftest import tiny_gpu
 
-from repro import AccessMode, BufferAccess, CudaRuntime, KernelSpec
+from repro import AccessMode, BufferAccess, CudaRuntime, KernelSpec, Tracer
 from repro.driver.va_block import VaBlock
 from repro.errors import SimulationError
 from repro.harness.validation import check_driver_invariants
-from repro.instrument.timeline import TRACK_H2D, Span, Timeline
 from repro.units import BIG_PAGE, MIB
 
 
 def traced_run(program_factory, memory_mib=64):
     runtime = CudaRuntime(gpu=tiny_gpu(memory_mib))
-    timeline = Timeline.attach(runtime)
+    tracer = Tracer().install(runtime)
     runtime.run(program_factory)
-    return runtime, timeline
+    tracer.uninstall()
+    return runtime, tracer
 
 
-class TestSpan:
-    def test_duration(self):
-        assert Span("t", "n", 1.0, 3.5).duration == pytest.approx(2.5)
-
-    def test_backwards_span_rejected(self):
-        with pytest.raises(ValueError):
-            Timeline().record("t", "n", 2.0, 1.0)
+def spans(tracer, category):
+    return [r for r in tracer.events if r[0] == "X" and r[3] == category]
 
 
-class TestTimelineRecording:
+class TestTracerQueries:
     def test_kernels_and_transfers_recorded(self):
         def program(cuda):
             buffer = cuda.malloc_managed(8 * MIB, "data")
@@ -43,12 +39,10 @@ class TestTimelineRecording:
             )
             yield from cuda.synchronize()
 
-        _, timeline = traced_run(program)
-        kernel_spans = [s for s in timeline.spans if s.category == "kernel"]
-        transfer_spans = [s for s in timeline.spans if s.category == "transfer"]
-        assert [s.name for s in kernel_spans] == ["work"]
-        assert len(transfer_spans) >= 1
-        assert all(s.end >= s.start for s in timeline.spans)
+        _, tracer = traced_run(program)
+        assert [r[2] for r in spans(tracer, "kernel")] == ["work"]
+        assert len(spans(tracer, "migration")) >= 1
+        assert all(r[5] >= r[4] for r in tracer.events if r[0] == "X")
 
     def test_busy_seconds(self):
         def program(cuda):
@@ -60,8 +54,8 @@ class TestTimelineRecording:
             )
             yield from cuda.synchronize()
 
-        _, timeline = traced_run(program)
-        assert timeline.busy_seconds("gpu0:compute") == pytest.approx(
+        _, tracer = traced_run(program)
+        assert tracer.busy_seconds("gpu0/compute") == pytest.approx(
             0.5, rel=0.1
         )
 
@@ -85,31 +79,32 @@ class TestTimelineRecording:
             )
             yield from cuda.synchronize()
 
-        _, timeline = traced_run(program)
-        assert timeline.overlap_seconds("gpu0:compute", TRACK_H2D) > 0
+        _, tracer = traced_run(program)
+        assert tracer.overlap_seconds("gpu0/compute", "link/h2d") > 0
 
     def test_overlap_of_disjoint_tracks_is_zero(self):
-        timeline = Timeline()
-        timeline.record("a", "x", 0.0, 1.0)
-        timeline.record("b", "y", 2.0, 3.0)
-        assert timeline.overlap_seconds("a", "b") == 0.0
+        tracer = Tracer()
+        tracer.span("a", "x", 0.0, 1.0)
+        tracer.span("b", "y", 2.0, 3.0)
+        assert tracer.overlap_seconds("a", "b") == 0.0
 
 
 class TestChromeTraceExport:
     def test_export_format(self, tmp_path):
-        timeline = Timeline()
-        timeline.record("gpu0:compute", "k1", 0.001, 0.002, args={"n": 1})
+        tracer = Tracer()
+        tracer.span("gpu0/compute", "k1", 0.001, 0.002, args={"n": 1})
         target = tmp_path / "trace.json"
-        timeline.write_chrome_trace(str(target))
+        tracer.write(str(target))
         data = json.loads(target.read_text())
-        events = data["traceEvents"]
-        assert len(events) == 1
-        event = events[0]
-        assert event["ph"] == "X"
+        (event,) = [e for e in data["traceEvents"] if e["ph"] == "X"]
         assert event["ts"] == pytest.approx(1000.0)  # microseconds
         assert event["dur"] == pytest.approx(1000.0)
-        assert event["tid"] == "gpu0:compute"
-        assert event["args"] == {"n": 1}
+        assert event["args"] == {"n": 1, "id": 0}
+        (thread,) = [
+            e for e in data["traceEvents"] if e["name"] == "thread_name"
+        ]
+        assert thread["tid"] == event["tid"]
+        assert thread["args"] == {"name": "gpu0/compute"}
 
 
 class TestInvariantChecker:

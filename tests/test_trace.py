@@ -9,9 +9,11 @@ The contracts under test (docs/OBSERVABILITY.md):
   seeds produce different timelines;
 - the exported JSON is valid Chrome trace-event format and carries the
   expected categories and per-device/link tracks;
-- tracing never perturbs simulation results, and a disabled config
-  attaches nothing;
-- the record cap converts overflow into a dropped-record count.
+- tracing never perturbs simulation results;
+- the ``link/h2d`` and ``link/d2h`` spans account for every migrated
+  byte of the run's recorded totals;
+- the record cap converts overflow into a dropped-record count, which
+  the result reports as ``log_dropped``.
 """
 
 from __future__ import annotations
@@ -94,12 +96,6 @@ class TestNonPerturbation:
     def test_traced_result_matches_untraced(self, cold):
         untraced = execute_point(POINT)
         assert untraced == cold[0]
-
-    def test_disabled_config_attaches_nothing(self):
-        result, tracer = trace_point(POINT, TraceConfig(enabled=False))
-        assert tracer.events == []
-        assert tracer.metrics.to_csv().strip() == "series,time,value"
-        assert result == execute_point(POINT)
 
     def test_no_uvm_point_is_rejected(self):
         point = SweepPoint(
@@ -186,13 +182,50 @@ class TestChaosRepeatDeterminism:
         assert self._traced(7)[1].digest() != self._traced(8)[1].digest()
 
 
+def _link_bytes_and_totals(tracer):
+    link = {"link/h2d": 0, "link/d2h": 0}
+    totals = None
+    for record in tracer.events:
+        if record[0] == "X" and record[1] in link:
+            link[record[1]] += record[6]["bytes"]
+        elif record[0] == "i" and record[2] == "totals":
+            totals = record[5]
+    return (link["link/h2d"], link["link/d2h"]), (
+        totals["bytes_h2d"], totals["bytes_d2h"]
+    )
+
+
+class TestLinkSpansMatchTotals:
+    """Every migrated byte shows up as a ``link/*`` span, including the
+    driver's eviction write-backs."""
+
+    def test_radix_point(self, cold):
+        link, totals = _link_bytes_and_totals(cold[1])
+        assert link == totals
+        assert all(totals)
+
+    def test_oversubscribed_vgg16(self):
+        point = SweepPoint(
+            workload="dl:vgg16", system="UvmDiscard", batch_size=125,
+            scale=0.03125,
+        )
+        _, tracer = trace_point(point, TraceConfig(metrics_cadence=0))
+        link, totals = _link_bytes_and_totals(tracer)
+        assert link == totals
+        assert all(totals)
+        assert tracer.busy_seconds("link/d2h") > 0
+
+
 class TestRecordCap:
     def test_overflow_counts_dropped(self):
-        _, tracer = trace_point(
+        result, tracer = trace_point(
             POINT, TraceConfig(max_records=10, metrics_cadence=0)
         )
         assert len(tracer.events) == 10
         assert tracer.dropped > 0
+        # The result is taken before the closing ``totals`` record, so
+        # it may trail the tracer's final count by that one record.
+        assert 0 < result.log_dropped <= tracer.dropped
         data = json.loads(tracer.to_json())
         assert data["otherData"]["dropped_records"] == tracer.dropped
 
@@ -234,42 +267,6 @@ class TestInstallLifecycle:
             TraceConfig(metrics_cadence=-1)
         with pytest.raises(ValueError):
             TraceConfig(max_records=0)
-
-
-class TestEventLogSurfacing:
-    def test_inspection_reports_ring_buffer_drops(self):
-        from repro.driver.config import UvmDriverConfig
-        from repro.driver.driver import UvmDriver
-        from repro.driver.va_block import VaBlock
-        from repro.engine.core import Environment
-        from repro.interconnect import pcie_gen4
-        from repro.units import BIG_PAGE
-
-        env = Environment()
-        driver = UvmDriver(
-            env,
-            pcie_gen4(),
-            config=UvmDriverConfig(
-                event_log_enabled=True, event_log_capacity=4
-            ),
-        )
-        driver.register_gpu("gpu0", 8 * BIG_PAGE)
-        blocks = [VaBlock(i, BIG_PAGE) for i in range(16)]
-        driver.register_blocks(blocks)
-
-        def storm():
-            for _ in range(3):
-                for start in range(0, 16, 4):
-                    yield from driver.handle_gpu_faults(
-                        "gpu0", blocks[start : start + 4]
-                    )
-
-        env.process(storm())
-        env.run()
-        inspection = driver.inspect()
-        assert inspection.event_log_entries <= 4
-        assert inspection.event_log_dropped == driver.log.dropped
-        assert inspection.event_log_dropped > 0
 
 
 class TestCli:

@@ -204,8 +204,6 @@ class TestInspectionApiPinning:
             "blocks",
             "inflight",
             "cpu_mapped",
-            "event_log_entries",
-            "event_log_dropped",
         }
 
     def test_views_are_frozen(self):

@@ -27,17 +27,17 @@ class TestFirInternals:
 
     def test_prefetch_overlaps_compute(self):
         """The two-stream structure overlaps kernels with the next
-        window's H2D prefetch — visible on the timeline."""
+        window's H2D prefetch — visible in the trace."""
         from repro.cuda.runtime import CudaRuntime
-        from repro.instrument.timeline import TRACK_H2D, Timeline
+        from repro.instrument.trace import Tracer
 
         workload = FirWorkload(FirConfig().scaled(SCALE))
         runtime = CudaRuntime(gpu=GPU, link=pcie_gen4())
-        timeline = Timeline.attach(runtime)
+        tracer = Tracer().install(runtime)
         runtime.run(workload.program(System.UVM_OPT))
-        compute_track = f"{GPU.name}:compute"
-        compute_busy = timeline.busy_seconds(compute_track)
-        overlap = timeline.overlap_seconds(compute_track, TRACK_H2D)
+        compute_track = f"{GPU.name}/compute"
+        compute_busy = tracer.busy_seconds(compute_track)
+        overlap = tracer.overlap_seconds(compute_track, "link/h2d")
         assert compute_busy > 0
         # Most of the compute ran while a transfer was in flight.
         assert overlap > 0.5 * compute_busy

@@ -365,6 +365,13 @@ class TestHarnessWiring:
         with pytest.raises(UncalibratedPointError, match=workload):
             execute_point(point)
 
+    def test_memory_deadlock_is_an_oom_outcome(self):
+        """At ratio 3.5 a prefetch stream and a kernel's fault service
+        each pin blocks, then wait for a frame the other holds: the
+        point is OOM, like any configuration that does not fit."""
+        point = SweepPoint("stencil", "UvmDiscard", ratio=3.5, scale=0.03125)
+        assert execute_point(point) is None
+
     def test_registry_split_is_consistent(self):
         from repro.harness.sweep import MICRO_WORKLOADS
 
