@@ -25,6 +25,7 @@ from repro.baselines.lms import LmsTrainer
 from repro.baselines.manual_swap import ManualSwapTrainer
 from repro.cuda.device import gtx_1070, rtx_3080ti
 from repro.driver.config import UvmDriverConfig
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen3, pcie_gen4
 from repro.units import MIB
@@ -87,19 +88,17 @@ def test_ablation_discarded_queue(benchmark, save_table):
 def test_ablation_prefetch_after_discard(benchmark, save_table):
     """§7.3: dropping the prefetch turns eager reuse into fault storms."""
     scale = bench_scale(0.125)
-    workload = RadixSortWorkload(RadixSortConfig().scaled(scale))
     gpu = rtx_3080ti().scaled(scale)
 
+    def run(system, prefetch):
+        config = RadixSortConfig(prefetch=prefetch).scaled(scale)
+        plan = RadixSortWorkload(config).plan(system, 0.99, gpu, pcie_gen4)
+        return run_uvm_experiment(plan)
+
     def build():
-        with_prefetch = workload.run(
-            System.UVM_DISCARD, 0.99, gpu, pcie_gen4(), prefetch=True
-        )
-        without = workload.run(
-            System.UVM_DISCARD, 0.99, gpu, pcie_gen4(), prefetch=False
-        )
-        baseline = workload.run(
-            System.UVM_OPT, 0.99, gpu, pcie_gen4(), prefetch=True
-        )
+        with_prefetch = run(System.UVM_DISCARD, prefetch=True)
+        without = run(System.UVM_DISCARD, prefetch=False)
+        baseline = run(System.UVM_OPT, prefetch=True)
         return with_prefetch, without, baseline
 
     with_prefetch, without, baseline = run_once(benchmark, build)
@@ -273,8 +272,10 @@ def test_ablation_caching_allocator(benchmark, save_table):
     config = TrainerConfig(batch_size=40)
 
     def build():
-        cached = LmsTrainer(network, config).run(gpu, pcie_gen3())
-        raw = ManualSwapTrainer(network, config).run(gpu, pcie_gen3())
+        cached = run_uvm_experiment(LmsTrainer(network, config).plan(gpu, pcie_gen3))
+        raw = run_uvm_experiment(
+            ManualSwapTrainer(network, config).plan(gpu, pcie_gen3)
+        )
         return cached, raw
 
     cached, raw = run_once(benchmark, build)

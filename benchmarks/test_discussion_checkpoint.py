@@ -16,6 +16,7 @@ from __future__ import annotations
 from conftest import bench_scale, run_once
 
 from repro.cuda.device import rtx_3080ti
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.workloads.dl import DarknetTrainer, TrainerConfig, rnn_shakespeare
@@ -33,12 +34,10 @@ def test_discussion_checkpoint_vs_discard(benchmark, save_table):
     def build():
         rows = {}
         for system in (System.UVM_OPT, System.UVM_DISCARD):
-            rows[system.value] = DarknetTrainer(network, config, system).run(
-                gpu, pcie_gen4()
-            )
-        rows["Checkpoint"] = CheckpointTrainer(
-            network, config, segment=5
-        ).run(gpu, pcie_gen4())
+            trainer = DarknetTrainer(network, config, system)
+            rows[system.value] = run_uvm_experiment(trainer.plan(gpu, pcie_gen4))
+        checkpoint = CheckpointTrainer(network, config, segment=5)
+        rows["Checkpoint"] = run_uvm_experiment(checkpoint.plan(gpu, pcie_gen4))
         return rows
 
     rows = run_once(benchmark, build)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from conftest import bench_scale, run_once
 
 from repro.cuda.device import rtx_3080ti
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.workloads.dl import DarknetTrainer, TrainerConfig, resnet53
@@ -32,7 +33,7 @@ def run_sweep():
         trainer = DarknetTrainer(
             network, TrainerConfig(batch_size=batch_size), System.UVM_OPT
         )
-        result = trainer.run(gpu, pcie_gen4())
+        result = run_uvm_experiment(trainer.plan(gpu, pcie_gen4))
         rows.append(
             {
                 "batch": batch_size,

@@ -18,6 +18,7 @@ from conftest import bench_scale, run_once
 from repro.baselines.lms import LmsTrainer
 from repro.cuda.device import gtx_1070
 from repro.harness.results import ResultTable
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen3
 from repro.workloads.dl import DarknetTrainer, TrainerConfig, vgg16
@@ -33,19 +34,14 @@ def run_table1():
     table = ResultTable("Table 1", [str(b) for b in BATCH_SIZES])
     for batch_size in BATCH_SIZES:
         config = TrainerConfig(batch_size=batch_size)
-        lms = LmsTrainer(network, config).run(
-            gpu, pcie_gen3(), config_label=str(batch_size)
-        )
-        lms.system = "PyTorch-LMS"
-        table.add(lms)
-        for label, system in (
-            ("DarkNet-UVM", System.UVM_OPT),
-            ("DarkNet-Discard", System.UVM_DISCARD),
+        for label, trainer in (
+            ("PyTorch-LMS", LmsTrainer(network, config)),
+            ("DarkNet-UVM", DarknetTrainer(network, config, System.UVM_OPT)),
+            ("DarkNet-Discard", DarknetTrainer(network, config, System.UVM_DISCARD)),
         ):
-            result = DarknetTrainer(network, config, system).run(
-                gpu, pcie_gen3(), config_label=str(batch_size)
-            )
+            result = run_uvm_experiment(trainer.plan(gpu, pcie_gen3))
             result.system = label
+            result.config = str(batch_size)
             table.add(result)
     return table
 

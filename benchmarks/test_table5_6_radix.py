@@ -13,7 +13,7 @@ from conftest import bench_scale, run_once
 
 from repro.cuda.device import rtx_3080ti
 from repro.harness.results import ResultTable
-from repro.harness.runner import ratio_label
+from repro.harness.runner import ratio_label, run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen3, pcie_gen4
 from repro.workloads.radix_sort import RadixSortConfig, RadixSortWorkload
@@ -29,7 +29,8 @@ def run_radix(link_factory):
     table = ResultTable("Radix-sort", [ratio_label(r) for r in RATIOS])
     for ratio in RATIOS:
         for system in SYSTEMS:
-            table.add(workload.run(system, ratio, gpu, link_factory()))
+            plan = workload.plan(system, ratio, gpu, link_factory)
+            table.add(run_uvm_experiment(plan))
     return table
 
 

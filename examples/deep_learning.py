@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.cuda.device import rtx_3080ti
 from repro.errors import OutOfMemoryError
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.workloads.dl import DarknetTrainer, TrainerConfig, vgg16
@@ -49,7 +50,7 @@ def main() -> None:
                 network, TrainerConfig(batch_size=batch_size), system
             )
             try:
-                result = trainer.run(gpu, pcie_gen4())
+                result = run_uvm_experiment(trainer.plan(gpu, pcie_gen4))
                 cells.append(f"{result.metric:>16.1f}")
             except OutOfMemoryError:
                 cells.append(f"{'OOM':>16}")

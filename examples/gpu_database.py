@@ -16,6 +16,7 @@ Run:  python examples/gpu_database.py
 from __future__ import annotations
 
 from repro.cuda.device import rtx_3080ti
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.workloads.hash_join import HashJoinConfig, HashJoinWorkload
@@ -27,7 +28,6 @@ RATIOS = (0.99, 2.0, 3.0, 4.0)
 def main() -> None:
     workload = HashJoinWorkload(HashJoinConfig().scaled(SCALE))
     gpu = rtx_3080ti().scaled(SCALE)
-    link = pcie_gen4()
     print(
         f"hash-join footprint: {workload.config.app_bytes / 1e9:.2f} GB, "
         f"GPU: {gpu.memory_bytes / 1e9:.2f} GB (1/4 scale)\n"
@@ -36,7 +36,7 @@ def main() -> None:
     for ratio in RATIOS:
         baseline = None
         for system in (System.UVM_OPT, System.UVM_DISCARD, System.UVM_DISCARD_LAZY):
-            result = workload.run(system, ratio, gpu, link)
+            result = run_uvm_experiment(workload.plan(system, ratio, gpu, pcie_gen4))
             if baseline is None:
                 baseline = result.elapsed_seconds
             label = "<100%" if ratio <= 1 else f"{ratio:.0%}"

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Export a chrome://tracing timeline of a simulated training batch.
 
-Installs a :class:`repro.Tracer` on the runtime, trains one scaled
-VGG-16 batch under UVM with discard, and writes ``vgg16_trace.json`` —
+Trains one scaled VGG-16 batch under UVM with discard through the
+experiment pipeline with a :class:`repro.Tracer` attached after the
+setup prefix (as ``python -m repro trace`` does), and writes
+``vgg16_trace.json`` —
 load it in chrome://tracing or https://ui.perfetto.dev to see kernels on
 the ``gpu0/compute`` track overlapping prefetches and eviction
 write-backs on the ``link/h2d`` and ``link/d2h`` tracks, exactly like an
@@ -16,8 +18,7 @@ from __future__ import annotations
 
 from repro import Tracer
 from repro.cuda.device import rtx_3080ti
-from repro.cuda.runtime import CudaRuntime
-from repro.harness.oversubscribe import apply_oversubscription
+from repro.harness.pipeline import simulate
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.workloads.dl import DarknetTrainer, TrainerConfig, vgg16
@@ -32,11 +33,10 @@ def main() -> None:
     trainer = DarknetTrainer(
         network, TrainerConfig(batch_size=BATCH, batches=2), System.UVM_DISCARD
     )
-    runtime = CudaRuntime(gpu=rtx_3080ti().scaled(SCALE), link=pcie_gen4())
-    apply_oversubscription(runtime, trainer.app_bytes, 1.0)
-    tracer = Tracer().install(runtime)
-    runtime.run(trainer.program())
-    tracer.uninstall()
+    tracer = Tracer()
+    _result, runtime = simulate(
+        trainer.plan(rtx_3080ti().scaled(SCALE), pcie_gen4), tracer=tracer
+    )
 
     compute_track = f"{runtime.gpu.name}/compute"
     compute = tracer.busy_seconds(compute_track)

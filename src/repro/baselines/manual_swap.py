@@ -13,35 +13,20 @@ what caching buys.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator
 
-from repro.cuda.device import GpuSpec
 from repro.cuda.runtime import CudaRuntime
-from repro.harness.results import ExperimentResult
-from repro.harness.runner import run_uvm_experiment
 from repro.instrument.traffic import TransferDirection, TransferReason
-from repro.interconnect.link import Link
-from repro.workloads.dl.networks import NetworkSpec
-from repro.workloads.dl.trainer import TrainerConfig
-
-#: Row label for ablation tables.
-SYSTEM_NAME = "Manual-swap"
+from repro.workloads.dl.trainer import Trainer
 
 
-class ManualSwapTrainer:
+class ManualSwapTrainer(Trainer):
     """Trains one network with Listing 5's allocate/copy/free pattern."""
 
-    def __init__(self, network: NetworkSpec, config: TrainerConfig) -> None:
-        self.network = network
-        self.config = config
+    #: Row label for ablation tables.
+    system_name = "Manual-swap"
 
-    def images_per_second(self, runtime: CudaRuntime) -> float:
-        measured = runtime.measured_seconds
-        if measured <= 0:
-            return 0.0
-        return self.config.batch_size * self.config.measured_batches / measured
-
-    def program(self) -> Callable[[CudaRuntime], Generator]:
+    def body_program(self) -> Callable[[CudaRuntime], Generator]:
         net = self.network
         cfg = self.config
 
@@ -131,25 +116,3 @@ class ManualSwapTrainer:
             yield from cuda.synchronize()
 
         return body
-
-    @property
-    def app_bytes(self) -> int:
-        return self.network.total_bytes(self.config.batch_size)
-
-    def run(
-        self,
-        gpu: GpuSpec,
-        link: Link,
-        config_label: Optional[str] = None,
-    ) -> ExperimentResult:
-        label = config_label or f"bs={self.config.batch_size}"
-        return run_uvm_experiment(
-            self.program(),
-            SYSTEM_NAME,
-            label,
-            self.app_bytes,
-            ratio=1.0,
-            gpu=gpu,
-            link=link,
-            metric=self.images_per_second,
-        )

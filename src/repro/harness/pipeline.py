@@ -1,9 +1,9 @@
 """The one simulation pipeline behind every exact experiment point.
 
 Every exact experiment point — a sweep point, a served request, a
-``repro trace``/``explain`` run, an access-trace replay — is simulated
-by :func:`simulate`, which runs one :class:`Plan` through a single
-protocol:
+``repro trace``/``explain`` run, an access-trace replay, a paper-table
+cell — is simulated by :func:`simulate`, which runs one :class:`Plan`
+through a single protocol:
 
 1. start from the setup prefix: simulated cold by :func:`build_prefix`,
    or forked from an :class:`~repro.engine.snapshot.EngineSnapshot` of
@@ -16,10 +16,13 @@ protocol:
 
 Instruments attach only after the prefix, so every point sharing a
 :func:`~repro.harness.sweep.prefix_key` shares a byte-identical prefix,
-and a forked run equals a cold one bit for bit.  :func:`plan_for` turns
-a :class:`~repro.harness.sweep.SweepPoint` into a plan; the replay
-frontend builds its plan from a trace's metadata with the same GPU and
-link tables.
+and a forked run equals a cold one bit for bit.  Each workload builds
+its plan in one place — :meth:`SplitWorkload.plan` for the micro
+workloads, :meth:`~repro.workloads.dl.trainer.Trainer.plan` for the
+trainers — and :func:`~repro.harness.runner.run_uvm_experiment` runs one
+cold.  :func:`plan_for` turns a :class:`~repro.harness.sweep.SweepPoint`
+into the same plan; the replay frontend builds its plan from a trace's
+metadata with the same GPU and link tables.
 """
 
 from __future__ import annotations
@@ -81,10 +84,39 @@ class Plan:
     context: Dict[str, object] = field(default_factory=dict)
 
 
-def _no_setup(cuda: CudaRuntime):
-    """The empty prefix of a program with no shareable setup."""
-    return
-    yield  # pragma: no cover - makes this a generator function
+class SplitWorkload:
+    """Base of the split-phase micro workloads (§7.2–7.4 and the
+    UVMBench categories).
+
+    A subclass defines ``setup_program()`` — the system-independent,
+    CPU-only setup prefix — and ``body_program(system)`` — the measured
+    body — and sizes the §7.1 occupant with ``config.app_bytes``.
+    :meth:`plan` composes them into the one :class:`Plan` that sweeps,
+    paper tables and tests all run.
+    """
+
+    def plan(
+        self,
+        system: System,
+        ratio: float,
+        gpu: GpuSpec,
+        make_link: Callable[[], Link],
+    ) -> Plan:
+        """One Table 3–8 cell: ``system`` at oversubscription ``ratio``.
+
+        ``make_link`` is a link factory (``pcie_gen4``, not
+        ``pcie_gen4()``), so every cold prefix builds a fresh link.
+        """
+        return Plan(
+            setup=self.setup_program(),
+            body=self.body_program(system),
+            system=system.value,
+            config_label=ratio_label(ratio),
+            app_bytes=self.config.app_bytes,
+            ratio=ratio,
+            gpu=gpu,
+            make_link=make_link,
+        )
 
 
 def _driver_config(point) -> Optional[UvmDriverConfig]:
@@ -137,51 +169,30 @@ def _micro_workload(point):
 
 
 def plan_for(point) -> Plan:
-    """The :class:`Plan` of an exact sweep point (any system)."""
+    """The :class:`Plan` of an exact sweep point (any system): the
+    workload's own plan plus the point's driver, chaos and trace
+    context."""
     system = System(point.system)
-    metric = None
+    gpu = GPU_FACTORIES[point.gpu]().scaled(point.scale)
+    make_link = LINK_FACTORIES[point.link]
     if point.is_dl:
-        trainer = _dl_trainer(point, system)
-        if system is System.NO_UVM:
-            # Listing 4 sizes explicit device buffers inside its one
-            # program: there is no managed setup to run first.
-            setup, body = _no_setup, trainer.program()
-        else:
-            setup, body = trainer.setup_program(), trainer.body_program()
-        config_label = f"bs={point.batch_size}"
-        app_bytes = trainer.app_bytes
-        ratio = 1.0  # DL oversubscribes via batch size, not an occupant
-        metric = trainer.images_per_second
+        plan = _dl_trainer(point, system).plan(gpu, make_link)
     else:
-        workload = _micro_workload(point)
-        setup, body = workload.setup_program(), workload.body_program(system)
-        config_label = ratio_label(point.ratio)
-        app_bytes = workload.config.app_bytes
-        ratio = point.ratio
-    return Plan(
-        setup=setup,
-        body=body,
-        system=system.value,
-        config_label=config_label,
-        app_bytes=app_bytes,
-        ratio=ratio,
-        gpu=GPU_FACTORIES[point.gpu]().scaled(point.scale),
-        make_link=LINK_FACTORIES[point.link],
-        driver_config=_driver_config(point),
-        metric=metric,
-        chaos=point.chaos,
-        context={
-            "workload": point.workload,
-            "system": system.value,
-            "config": config_label,
-            "link": point.link,
-            "gpu": point.gpu,
-            "scale": point.scale,
-            "ratio": ratio,
-            "batch_size": point.batch_size,
-            "app_bytes": app_bytes,
-        },
-    )
+        plan = _micro_workload(point).plan(system, point.ratio, gpu, make_link)
+    plan.driver_config = _driver_config(point)
+    plan.chaos = point.chaos
+    plan.context = {
+        "workload": point.workload,
+        "system": plan.system,
+        "config": plan.config_label,
+        "link": point.link,
+        "gpu": point.gpu,
+        "scale": point.scale,
+        "ratio": plan.ratio,
+        "batch_size": point.batch_size,
+        "app_bytes": plan.app_bytes,
+    }
+    return plan
 
 
 def build_prefix(plan: Plan) -> CudaRuntime:
@@ -189,7 +200,7 @@ def build_prefix(plan: Plan) -> CudaRuntime:
     quiescent and snapshottable.  Raises
     :class:`~repro.errors.OutOfMemoryError` when the prefix does not fit."""
     return run_uvm_prefix(
-        plan.setup, plan.gpu, plan.make_link(), driver_config=plan.driver_config
+        plan.setup, plan.gpu, plan.make_link(), plan.driver_config
     )
 
 

@@ -45,6 +45,7 @@ from typing import (
     Union,
 )
 
+from repro.engine.snapshot import source_fingerprint
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.harness.pipeline import (
     GPU_FACTORIES,
@@ -56,10 +57,6 @@ from repro.harness.pipeline import (
 from repro.harness.results import ExperimentResult
 from repro.harness.runner import ratio_label
 from repro.harness.systems import System
-
-#: Bump when the cache entry schema or simulator semantics change in a
-#: way that must invalidate previously stored results.
-CACHE_VERSION = 2
 
 #: Environment variable overriding the default on-disk cache location.
 CACHE_ENV = "REPRO_SWEEP_CACHE"
@@ -288,11 +285,12 @@ class SweepPoint:
         return cls(**data)  # type: ignore[arg-type]
 
     def cache_key(self) -> str:
-        """Stable content hash of the full point configuration."""
-        canonical = json.dumps(
-            {"version": CACHE_VERSION, **self.to_dict()}, sort_keys=True
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        """Stable content hash of the full point configuration and of the
+        simulator source (:func:`~repro.engine.snapshot.source_fingerprint`)
+        that computes it."""
+        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        payload = f"{source_fingerprint()}\x00{canonical}"
+        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @dataclass
@@ -574,10 +572,11 @@ class ResultCache:
     """Content-addressed on-disk store of finished sweep points.
 
     Entries live at ``<root>/<key[:2]>/<key>.json``; a key is the
-    sha256 of the point's canonical JSON plus :data:`CACHE_VERSION`, so
-    *any* input change — workload, system, link, ratio, batch, scale,
-    GPU, driver override, or cache schema — misses and re-simulates.
-    Unreadable or corrupt entries are treated as misses, never errors.
+    sha256 of the point's canonical JSON plus the simulator's source
+    fingerprint, so *any* input change — workload, system, link, ratio,
+    batch, scale, GPU, driver override, or a line of simulator code —
+    misses and re-simulates.  Unreadable or corrupt entries are treated
+    as misses, never errors.
 
     The store is safe under concurrent readers and writers from any mix
     of threads and processes (the experiment server hammers it from
@@ -625,8 +624,6 @@ class ResultCache:
             return None
         if not isinstance(payload, dict):
             return None
-        if payload.get("version") != CACHE_VERSION:
-            return None
         if payload.get("key") != key:
             return None
         outcome = payload.get("outcome")
@@ -647,7 +644,6 @@ class ResultCache:
         path = self.path_for(point, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
-            "version": CACHE_VERSION,
             "key": key,
             "point": point.to_dict(),
             "outcome": outcome,

@@ -23,26 +23,21 @@ trade.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator
 
 from repro.access import AccessMode
-from repro.cuda.device import GpuSpec
 from repro.cuda.kernel import BufferAccess, KernelSpec
 from repro.cuda.runtime import CudaRuntime
 from repro.errors import ConfigurationError
-from repro.harness.results import ExperimentResult
-from repro.harness.runner import run_uvm_experiment
-from repro.harness.systems import DiscardPolicy, System
-from repro.interconnect.link import Link
 from repro.workloads.dl.networks import NetworkSpec
-from repro.workloads.dl.trainer import TrainerConfig, _waves_for
-
-#: Row label for comparison tables.
-SYSTEM_NAME = "Checkpoint"
+from repro.workloads.dl.trainer import Trainer, TrainerConfig, _waves_for
 
 
-class CheckpointTrainer:
+class CheckpointTrainer(Trainer):
     """Trains with activation recomputation every ``segment`` layers."""
+
+    #: Row label for comparison tables.
+    system_name = "Checkpoint"
 
     def __init__(
         self,
@@ -54,8 +49,7 @@ class CheckpointTrainer:
         if segment < 2:
             raise ConfigurationError("segment must be >= 2 (1 disables "
                                      "checkpointing; use DarknetTrainer)")
-        self.network = network
-        self.config = config
+        super().__init__(network, config)
         self.segment = segment
         self.discard_mode = discard_mode
 
@@ -81,13 +75,7 @@ class CheckpointTrainer:
             + (net.input_bytes_per_sample + net.label_bytes_per_sample) * bs
         )
 
-    def images_per_second(self, runtime: CudaRuntime) -> float:
-        measured = runtime.measured_seconds
-        if measured <= 0:
-            return 0.0
-        return self.config.batch_size * self.config.measured_batches / measured
-
-    def program(self) -> Callable[[CudaRuntime], Generator]:
+    def body_program(self) -> Callable[[CudaRuntime], Generator]:
         net = self.network
         cfg = self.config
         segment = self.segment
@@ -195,21 +183,3 @@ class CheckpointTrainer:
             yield from cuda.synchronize()
 
         return body
-
-    def run(
-        self,
-        gpu: GpuSpec,
-        link: Link,
-        config_label: Optional[str] = None,
-    ) -> ExperimentResult:
-        label = config_label or f"bs={self.config.batch_size}"
-        return run_uvm_experiment(
-            self.program(),
-            SYSTEM_NAME,
-            label,
-            self.network.total_bytes(self.config.batch_size),
-            ratio=1.0,
-            gpu=gpu,
-            link=link,
-            metric=self.images_per_second,
-        )

@@ -22,16 +22,14 @@ without running unboundedly ahead of the working set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, List
 
 from repro.access import AccessMode
 from repro.cuda.device import GpuSpec
 from repro.cuda.kernel import BufferAccess, KernelSpec
 from repro.cuda.runtime import CudaRuntime
-from repro.driver.config import UvmDriverConfig
 from repro.errors import ConfigurationError
-from repro.harness.results import ExperimentResult
-from repro.harness.runner import run_uvm_experiment
+from repro.harness.pipeline import Plan
 from repro.harness.systems import DiscardPolicy, System
 from repro.instrument.traffic import TransferDirection
 from repro.interconnect.link import Link
@@ -63,6 +61,13 @@ class TrainerConfig:
     def measured_batches(self) -> int:
         return self.batches - self.warmup_batches
 
+    def images_per_second(self, runtime: CudaRuntime) -> float:
+        """Training throughput over the measured batches."""
+        measured = runtime.measured_seconds
+        if measured <= 0:
+            return 0.0
+        return self.batch_size * self.measured_batches / measured
+
 
 def _waves_for(nbytes: int) -> int:
     """Fault waves for a kernel touching ``nbytes`` of managed memory."""
@@ -70,7 +75,57 @@ def _waves_for(nbytes: int) -> int:
     return max(1, min(12, int(blocks // 64)))
 
 
-class DarknetTrainer:
+def _no_setup(cuda: CudaRuntime) -> Generator:
+    """The empty prefix of a program with no shareable setup."""
+    return
+    yield  # pragma: no cover - makes this a generator function
+
+
+class Trainer:
+    """Base of the DL trainers: one network under one :class:`TrainerConfig`.
+
+    A subclass names its table row (``system_name``) and defines
+    ``body_program()``; its setup prefix is empty unless it overrides
+    :meth:`setup_program`.  :meth:`plan` composes them into the one
+    :class:`~repro.harness.pipeline.Plan` every run of the trainer goes
+    through.
+    """
+
+    #: Row label of the evaluated system.
+    system_name: str
+
+    def __init__(self, network: NetworkSpec, config: TrainerConfig) -> None:
+        self.network = network
+        self.config = config
+
+    @property
+    def app_bytes(self) -> int:
+        return self.network.total_bytes(self.config.batch_size)
+
+    def setup_program(self) -> Callable[[CudaRuntime], Generator]:
+        """No shareable setup: the body allocates everything itself."""
+        return _no_setup
+
+    def plan(self, gpu: GpuSpec, make_link: Callable[[], Link]) -> Plan:
+        """Train on ``gpu``; the result metric is images/second.
+
+        ``make_link`` is a link factory (``pcie_gen4``, not
+        ``pcie_gen4()``), so every cold prefix builds a fresh link.
+        """
+        return Plan(
+            setup=self.setup_program(),
+            body=self.body_program(),
+            system=self.system_name,
+            config_label=f"bs={self.config.batch_size}",
+            app_bytes=self.app_bytes,
+            ratio=1.0,  # DL oversubscribes via batch size, not an occupant
+            gpu=gpu,
+            make_link=make_link,
+            metric=self.config.images_per_second,
+        )
+
+
+class DarknetTrainer(Trainer):
     """Trains one network under one evaluated system."""
 
     def __init__(
@@ -79,37 +134,10 @@ class DarknetTrainer:
         config: TrainerConfig,
         system: System,
     ) -> None:
-        self.network = network
-        self.config = config
+        super().__init__(network, config)
         self.system = system
+        self.system_name = system.value
         self.policy = DiscardPolicy(system)
-
-    @property
-    def app_bytes(self) -> int:
-        return self.network.total_bytes(self.config.batch_size)
-
-    def images_per_second(self, runtime: CudaRuntime) -> float:
-        """Training throughput over the measured batches."""
-        measured = runtime.measured_seconds
-        if measured <= 0:
-            return 0.0
-        return self.config.batch_size * self.config.measured_batches / measured
-
-    # ------------------------------------------------------------------
-    # programs
-    # ------------------------------------------------------------------
-
-    def program(self) -> Callable[[CudaRuntime], Generator]:
-        if self.system is System.NO_UVM:
-            return self._program_no_uvm()
-        setup = self.setup_program()
-        body = self.body_program()
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
 
     def setup_program(self) -> Callable[[CudaRuntime], Generator]:
         """The UVM setup prefix: allocate every managed buffer and
@@ -117,10 +145,11 @@ class DarknetTrainer:
         network and trainer config — not on the evaluated system — so
         the sweep harness can simulate it once and fork per system.
         CPU-only, hence quiescent (and snapshottable) afterwards.
-        Not defined for No-UVM, which sizes explicit device buffers.
+        Empty for No-UVM, whose Listing-4 body sizes explicit device
+        buffers itself.
         """
         if self.system is System.NO_UVM:
-            raise ConfigurationError("No-UVM has no shareable setup prefix")
+            return super().setup_program()
         net = self.network
         cfg = self.config
 
@@ -169,9 +198,10 @@ class DarknetTrainer:
 
     def body_program(self) -> Callable[[CudaRuntime], Generator]:
         """The measured training loop, resuming from a completed
-        :meth:`setup_program` (possibly in a forked runtime)."""
+        :meth:`setup_program` (possibly in a forked runtime); for
+        No-UVM, the whole Listing-4 program."""
         if self.system is System.NO_UVM:
-            raise ConfigurationError("No-UVM has no split body program")
+            return self._program_no_uvm()
         net = self.network
         cfg = self.config
         policy = self.policy
@@ -382,28 +412,3 @@ class DarknetTrainer:
             yield from cuda.synchronize()
 
         return body
-
-    # ------------------------------------------------------------------
-    # one-call experiment
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        gpu: GpuSpec,
-        link: Link,
-        config_label: Optional[str] = None,
-        driver_config: Optional[UvmDriverConfig] = None,
-    ) -> ExperimentResult:
-        """Train and snapshot a result row; metric is images/second."""
-        label = config_label or f"bs={self.config.batch_size}"
-        return run_uvm_experiment(
-            self.program(),
-            self.system.value,
-            label,
-            self.app_bytes,
-            ratio=1.0,  # DL oversubscribes via batch size, not an occupant
-            gpu=gpu,
-            link=link,
-            driver_config=driver_config,
-            metric=self.images_per_second,
-        )

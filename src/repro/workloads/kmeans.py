@@ -19,16 +19,12 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.access import AccessMode
-from repro.cuda.device import GpuSpec
 from repro.cuda.kernel import BufferAccess, KernelSpec
 from repro.cuda.runtime import CudaRuntime
-from repro.driver.config import UvmDriverConfig
 from repro.errors import ConfigurationError
 from repro.gpu.access import IrregularPattern, SequentialPattern
-from repro.harness.results import ExperimentResult
-from repro.harness.runner import ratio_label, run_uvm_experiment
+from repro.harness.pipeline import SplitWorkload
 from repro.harness.systems import DiscardPolicy, System
-from repro.interconnect.link import Link
 from repro.units import BIG_PAGE, GB, align_up
 
 
@@ -99,7 +95,7 @@ class KMeansConfig:
         )
 
 
-class KMeansWorkload:
+class KMeansWorkload(SplitWorkload):
     """Runs the k-means experiment for one evaluated system."""
 
     def __init__(self, config: Optional[KMeansConfig] = None) -> None:
@@ -196,34 +192,3 @@ class KMeansWorkload:
             yield from cuda.synchronize()
 
         return body
-
-    def program(self, system: System) -> Callable[[CudaRuntime], Generator]:
-        """The host program for ``system`` (a generator function)."""
-        setup = self.setup_program()
-        body = self.body_program(system)
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
-
-    def run(
-        self,
-        system: System,
-        ratio: float,
-        gpu: GpuSpec,
-        link: Link,
-        driver_config: Optional[UvmDriverConfig] = None,
-    ) -> ExperimentResult:
-        """Run one oversubscription cell of the k-means table."""
-        return run_uvm_experiment(
-            self.program(system),
-            system.value,
-            ratio_label(ratio),
-            self.config.app_bytes,
-            ratio,
-            gpu,
-            link,
-            driver_config=driver_config,
-        )

@@ -28,16 +28,12 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.access import AccessMode
-from repro.cuda.device import GpuSpec
 from repro.cuda.kernel import BufferAccess, KernelSpec
 from repro.cuda.runtime import CudaRuntime
-from repro.driver.config import UvmDriverConfig
 from repro.errors import ConfigurationError
 from repro.gpu.access import IrregularPattern, SequentialPattern
-from repro.harness.results import ExperimentResult
-from repro.harness.runner import ratio_label, run_uvm_experiment
+from repro.harness.pipeline import SplitWorkload
 from repro.harness.systems import DiscardPolicy, System
-from repro.interconnect.link import Link
 from repro.units import GB
 
 
@@ -56,6 +52,11 @@ class RadixSortConfig:
     kernel_throughput: float = 800 * GB
     #: Fault waves per kernel launch.
     waves: int = 16
+    #: ``None`` applies the paper's policy (prefetch only when not
+    #: oversubscribed — decided from the occupant state); ``True`` /
+    #: ``False`` force it, enabling the §7.3 "3.9x without prefetch"
+    #: ablation.
+    prefetch: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -75,10 +76,11 @@ class RadixSortConfig:
             passes=self.passes,
             kernel_throughput=self.kernel_throughput,
             waves=self.waves,
+            prefetch=self.prefetch,
         )
 
 
-class RadixSortWorkload:
+class RadixSortWorkload(SplitWorkload):
     """Runs the radix-sort experiment for one evaluated system."""
 
     def __init__(self, config: Optional[RadixSortConfig] = None) -> None:
@@ -99,17 +101,10 @@ class RadixSortWorkload:
 
         return setup
 
-    def body_program(
-        self, system: System, prefetch: Optional[bool] = None
-    ) -> Callable[[CudaRuntime], Generator]:
+    def body_program(self, system: System) -> Callable[[CudaRuntime], Generator]:
         """The measured body for ``system``, resuming from a completed
-        :meth:`setup_program` (possibly in a forked runtime).
-
-        ``prefetch=None`` applies the paper's policy (prefetch only when
-        not oversubscribed — decided inside from the occupant state);
-        ``True``/``False`` force it, enabling the §7.3 "3.9x without
-        prefetch" ablation.
-        """
+        :meth:`setup_program` (possibly in a forked runtime); prefetches
+        follow :attr:`RadixSortConfig.prefetch`."""
         cfg = self.config
         policy = DiscardPolicy(system)
 
@@ -118,7 +113,7 @@ class RadixSortWorkload:
             temp = cuda.session["radix_temp"]
             cuda.begin_measurement()  # §7.1: exclude input preprocessing
             fits = cuda.driver.gpu_free_bytes(cuda.gpu.name) >= cfg.app_bytes
-            use_prefetch = fits if prefetch is None else prefetch
+            use_prefetch = fits if cfg.prefetch is None else cfg.prefetch
             if use_prefetch:
                 cuda.prefetch_async(array)
                 cuda.prefetch_async(temp)
@@ -175,37 +170,3 @@ class RadixSortWorkload:
             yield from cuda.synchronize()
 
         return body
-
-    def program(
-        self, system: System, prefetch: Optional[bool] = None
-    ) -> Callable[[CudaRuntime], Generator]:
-        """The host program (setup prefix + measured body)."""
-        setup = self.setup_program()
-        body = self.body_program(system, prefetch=prefetch)
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
-
-    def run(
-        self,
-        system: System,
-        ratio: float,
-        gpu: GpuSpec,
-        link: Link,
-        prefetch: Optional[bool] = None,
-        driver_config: Optional[UvmDriverConfig] = None,
-    ) -> ExperimentResult:
-        """Run one Table 5/6 cell."""
-        return run_uvm_experiment(
-            self.program(system, prefetch=prefetch),
-            system.value,
-            ratio_label(ratio),
-            self.config.app_bytes,
-            ratio,
-            gpu,
-            link,
-            driver_config=driver_config,
-        )

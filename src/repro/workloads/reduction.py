@@ -22,16 +22,12 @@ from dataclasses import dataclass
 from typing import Callable, Generator, List, Optional, Tuple
 
 from repro.access import AccessMode
-from repro.cuda.device import GpuSpec
 from repro.cuda.kernel import BufferAccess, KernelSpec
 from repro.cuda.runtime import CudaRuntime
-from repro.driver.config import UvmDriverConfig
 from repro.errors import ConfigurationError
 from repro.gpu.access import SequentialPattern
-from repro.harness.results import ExperimentResult
-from repro.harness.runner import ratio_label, run_uvm_experiment
+from repro.harness.pipeline import SplitWorkload
 from repro.harness.systems import DiscardPolicy, System
-from repro.interconnect.link import Link
 from repro.units import BIG_PAGE, GB, align_up
 
 
@@ -82,7 +78,7 @@ class ReductionConfig:
         )
 
 
-class ReductionWorkload:
+class ReductionWorkload(SplitWorkload):
     """Runs the tree-reduction experiment for one evaluated system."""
 
     def __init__(self, config: Optional[ReductionConfig] = None) -> None:
@@ -165,34 +161,3 @@ class ReductionWorkload:
             yield from cuda.synchronize()
 
         return body
-
-    def program(self, system: System) -> Callable[[CudaRuntime], Generator]:
-        """The host program for ``system`` (a generator function)."""
-        setup = self.setup_program()
-        body = self.body_program(system)
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
-
-    def run(
-        self,
-        system: System,
-        ratio: float,
-        gpu: GpuSpec,
-        link: Link,
-        driver_config: Optional[UvmDriverConfig] = None,
-    ) -> ExperimentResult:
-        """Run one oversubscription cell of the reduction table."""
-        return run_uvm_experiment(
-            self.program(system),
-            system.value,
-            ratio_label(ratio),
-            self.config.app_bytes,
-            ratio,
-            gpu,
-            link,
-            driver_config=driver_config,
-        )

@@ -109,7 +109,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.access import AccessMode
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.errors import ConfigurationError
 from repro.gpu.access import IrregularPattern, SequentialPattern, StridedPattern
 from repro.instrument.traffic import TransferReason
 from repro.interconnect.link import TransferDirection
@@ -960,6 +960,7 @@ def run_replay(trace: ReplayTrace, keep_transfer_records: bool = False):
     """
     from repro.driver.config import UvmDriverConfig
     from repro.harness.pipeline import GPU_FACTORIES, LINK_FACTORIES, Plan, simulate
+    from repro.harness.runner import out_of_memory
 
     meta = trace.meta
     if meta["gpu"] not in GPU_FACTORIES:
@@ -992,11 +993,7 @@ def run_replay(trace: ReplayTrace, keep_transfer_records: bool = False):
     )
     result, runtime = simulate(plan)
     if result is None:
-        raise OutOfMemoryError(
-            f"{plan.system}/{plan.config_label}: {plan.app_bytes} bytes at "
-            f"oversubscription ratio {plan.ratio:g} do not fit in the "
-            f"{plan.gpu.memory_bytes}-byte {plan.gpu.name}"
-        )
+        raise out_of_memory(plan)
     return result, runtime
 
 

@@ -7,6 +7,7 @@ from conftest import tiny_gpu
 from repro.baselines import CachingAllocator, LmsTrainer, ManualSwapTrainer
 from repro.cuda.runtime import CudaRuntime
 from repro.errors import OutOfMemoryError, SimulationError
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen3
 from repro.units import BIG_PAGE, MIB
@@ -95,62 +96,47 @@ class TestCachingAllocator:
             self._run(program)
 
 
+def train(trainer_cls, batch_size, *args):
+    trainer = trainer_cls(NETWORK, TrainerConfig(batch_size=batch_size), *args)
+    return run_uvm_experiment(trainer.plan(GPU, pcie_gen3))
+
+
 class TestLmsTrainer:
     def test_runs_at_any_batch_size(self):
         for batch in (40, 150):
-            result = LmsTrainer(NETWORK, TrainerConfig(batch_size=batch)).run(
-                GPU, pcie_gen3()
-            )
+            result = train(LmsTrainer, batch)
             assert result.metric > 0
             assert result.system == "PyTorch-LMS"
 
     def test_traffic_scales_with_batch_not_capacity(self):
         """Table 1: LMS swaps everything every batch, fit or not."""
-        small = LmsTrainer(NETWORK, TrainerConfig(batch_size=40)).run(
-            GPU, pcie_gen3()
-        )
-        large = LmsTrainer(NETWORK, TrainerConfig(batch_size=80)).run(
-            GPU, pcie_gen3()
-        )
+        small = train(LmsTrainer, 40)
+        large = train(LmsTrainer, 80)
         assert large.traffic_gb > 1.6 * small.traffic_gb
 
     def test_swap_traffic_reason(self):
-        result = LmsTrainer(NETWORK, TrainerConfig(batch_size=40)).run(
-            GPU, pcie_gen3()
-        )
+        result = train(LmsTrainer, 40)
         # All LMS traffic is explicit swapping, no UVM machinery involved.
         assert result.counters.get("gpu_fault_batches", 0) == 0
         assert result.counters.get("evicted_blocks", 0) == 0
 
     def test_slower_than_uvm_when_fits(self):
-        lms = LmsTrainer(NETWORK, TrainerConfig(batch_size=40)).run(
-            GPU, pcie_gen3()
-        )
-        uvm = DarknetTrainer(
-            NETWORK, TrainerConfig(batch_size=40), System.UVM_OPT
-        ).run(GPU, pcie_gen3())
+        lms = train(LmsTrainer, 40)
+        uvm = train(DarknetTrainer, 40, System.UVM_OPT)
         assert uvm.metric > 1.1 * lms.metric
 
 
 class TestManualSwapTrainer:
     def test_runs_and_pays_api_costs(self):
-        result = ManualSwapTrainer(NETWORK, TrainerConfig(batch_size=40)).run(
-            GPU, pcie_gen3()
-        )
+        result = train(ManualSwapTrainer, 40)
         assert result.metric > 0
 
     def test_slower_than_cached_lms(self):
         """§6: the caching allocator exists because Table-2 costs hurt."""
-        raw = ManualSwapTrainer(NETWORK, TrainerConfig(batch_size=40)).run(
-            GPU, pcie_gen3()
-        )
-        cached = LmsTrainer(NETWORK, TrainerConfig(batch_size=40)).run(
-            GPU, pcie_gen3()
-        )
+        raw = train(ManualSwapTrainer, 40)
+        cached = train(LmsTrainer, 40)
         assert cached.metric > raw.metric
 
     def test_survives_oversubscribing_batch(self):
-        result = ManualSwapTrainer(NETWORK, TrainerConfig(batch_size=150)).run(
-            GPU, pcie_gen3()
-        )
+        result = train(ManualSwapTrainer, 150)
         assert result.metric > 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cuda.device import rtx_3080ti
 from repro.errors import ConfigurationError
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.workloads.dl import DarknetTrainer, TrainerConfig, rnn_shakespeare, vgg16
@@ -21,7 +22,14 @@ def run_checkpoint(batch, segment=4, discard_mode="eager"):
         NETWORK, TrainerConfig(batch_size=batch), segment=segment,
         discard_mode=discard_mode,
     )
-    return trainer, trainer.run(GPU, pcie_gen4())
+    return trainer, run_uvm_experiment(trainer.plan(GPU, pcie_gen4))
+
+
+def run_plain(batch):
+    trainer = DarknetTrainer(
+        NETWORK, TrainerConfig(batch_size=batch), System.UVM_DISCARD
+    )
+    return run_uvm_experiment(trainer.plan(GPU, pcie_gen4))
 
 
 class TestConfiguration:
@@ -47,9 +55,7 @@ class TestBehaviour:
     def test_slower_than_plain_when_memory_ample(self):
         """When everything fits, recomputation is pure overhead."""
         _, checkpointed = run_checkpoint(batch=30)
-        plain = DarknetTrainer(
-            NETWORK, TrainerConfig(batch_size=30), System.UVM_DISCARD
-        ).run(GPU, pcie_gen4())
+        plain = run_plain(30)
         assert checkpointed.metric < plain.metric
 
     def test_moves_less_data_when_memory_tight(self):
@@ -57,9 +63,7 @@ class TestBehaviour:
         at the price of recompute."""
         batch = 170  # well past the crossover at this scale
         _, checkpointed = run_checkpoint(batch=batch)
-        plain = DarknetTrainer(
-            NETWORK, TrainerConfig(batch_size=batch), System.UVM_DISCARD
-        ).run(GPU, pcie_gen4())
+        plain = run_plain(batch)
         assert checkpointed.traffic_gb < plain.traffic_gb
 
     def test_no_corruption_either_mode(self):

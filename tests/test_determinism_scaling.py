@@ -12,6 +12,7 @@
 import pytest
 
 from repro.cuda.device import rtx_3080ti
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.workloads.dl import DarknetTrainer, TrainerConfig, vgg16
@@ -23,8 +24,10 @@ from repro.workloads.radix_sort import RadixSortConfig, RadixSortWorkload
 class TestDeterminism:
     def _fir_once(self):
         workload = FirWorkload(FirConfig().scaled(1 / 32))
-        return workload.run(
-            System.UVM_DISCARD, 2.0, rtx_3080ti().scaled(1 / 32), pcie_gen4()
+        return run_uvm_experiment(
+            workload.plan(
+                System.UVM_DISCARD, 2.0, rtx_3080ti().scaled(1 / 32), pcie_gen4
+            )
         )
 
     def test_fir_bitwise_repeatable(self):
@@ -39,8 +42,10 @@ class TestDeterminism:
 
         def once():
             workload = RadixSortWorkload(RadixSortConfig().scaled(1 / 32))
-            return workload.run(
-                System.UVM_OPT, 2.0, rtx_3080ti().scaled(1 / 32), pcie_gen4()
+            return run_uvm_experiment(
+                workload.plan(
+                    System.UVM_OPT, 2.0, rtx_3080ti().scaled(1 / 32), pcie_gen4
+                )
             )
 
         a, b = once(), once()
@@ -54,7 +59,9 @@ class TestDeterminism:
                 TrainerConfig(batch_size=120),
                 System.UVM_DISCARD_LAZY,
             )
-            return trainer.run(rtx_3080ti().scaled(1 / 32), pcie_gen4())
+            return run_uvm_experiment(
+                trainer.plan(rtx_3080ti().scaled(1 / 32), pcie_gen4)
+            )
 
         a, b = once(), once()
         assert a.metric == b.metric
@@ -65,8 +72,12 @@ class TestScalingInvariance:
     def _normalized(self, scale, workload_cls, config):
         workload = workload_cls(config.scaled(scale))
         gpu = rtx_3080ti().scaled(scale)
-        opt = workload.run(System.UVM_OPT, 2.0, gpu, pcie_gen4())
-        discard = workload.run(System.UVM_DISCARD, 2.0, gpu, pcie_gen4())
+        opt = run_uvm_experiment(
+            workload.plan(System.UVM_OPT, 2.0, gpu, pcie_gen4)
+        )
+        discard = run_uvm_experiment(
+            workload.plan(System.UVM_DISCARD, 2.0, gpu, pcie_gen4)
+        )
         return (
             discard.elapsed_seconds / opt.elapsed_seconds,
             1 - discard.traffic_gb / opt.traffic_gb,
@@ -90,10 +101,10 @@ class TestScalingInvariance:
         workload_b = FirWorkload(FirConfig().scaled(1 / 16))
         gpu_a = rtx_3080ti().scaled(1 / 8)
         gpu_b = rtx_3080ti().scaled(1 / 16)
-        traffic_a = workload_a.run(
-            System.UVM_OPT, 2.0, gpu_a, pcie_gen4()
+        traffic_a = run_uvm_experiment(
+            workload_a.plan(System.UVM_OPT, 2.0, gpu_a, pcie_gen4)
         ).traffic_gb
-        traffic_b = workload_b.run(
-            System.UVM_OPT, 2.0, gpu_b, pcie_gen4()
+        traffic_b = run_uvm_experiment(
+            workload_b.plan(System.UVM_OPT, 2.0, gpu_b, pcie_gen4)
         ).traffic_gb
         assert traffic_a == pytest.approx(2 * traffic_b, rel=0.1)

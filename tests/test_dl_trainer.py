@@ -4,6 +4,7 @@ import pytest
 
 from repro.cuda.device import rtx_3080ti
 from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.workloads.dl import DarknetTrainer, TrainerConfig, vgg16
@@ -17,7 +18,7 @@ def train(system, batch_size, batches=3):
     trainer = DarknetTrainer(
         NETWORK, TrainerConfig(batch_size=batch_size, batches=batches), system
     )
-    return trainer.run(GPU, pcie_gen4())
+    return run_uvm_experiment(trainer.plan(GPU, pcie_gen4))
 
 
 def fit_batch():
@@ -67,7 +68,7 @@ class TestUvmSystems:
     def test_throughput_units(self):
         config = TrainerConfig(batch_size=fit_batch())
         trainer = DarknetTrainer(NETWORK, config, System.UVM_OPT)
-        result = trainer.run(GPU, pcie_gen4())
+        result = run_uvm_experiment(trainer.plan(GPU, pcie_gen4))
         expected = config.batch_size * config.measured_batches / result.elapsed_seconds
         assert result.metric == pytest.approx(expected)
 

@@ -8,6 +8,7 @@ from conftest import tiny_gpu
 
 from repro import AccessMode, BufferAccess, CudaRuntime, KernelSpec
 from repro.engine import Environment
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.units import MIB
@@ -89,7 +90,7 @@ class TestWarmupMeasurement:
                               warmup_batches=warmup),
                 System.UVM_OPT,
             )
-            return trainer.run(gpu, pcie_gen4()).metric
+            return run_uvm_experiment(trainer.plan(gpu, pcie_gen4)).metric
 
         assert run(1, 3) == pytest.approx(run(2, 4), rel=0.02)
 

@@ -1,11 +1,13 @@
 """Tests for the experiment harness: oversubscription, systems, results."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import tiny_gpu
 
 from repro.cuda.runtime import CudaRuntime
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.harness import (
     DiscardPolicy,
     ExperimentResult,
@@ -14,6 +16,7 @@ from repro.harness import (
     apply_oversubscription,
     occupant_bytes,
 )
+from repro.harness.pipeline import Plan
 from repro.harness.runner import ratio_label, run_uvm_experiment
 from repro.interconnect import pcie_gen4
 from repro.units import BIG_PAGE, GIB, MIB
@@ -146,22 +149,33 @@ class TestRunner:
         assert ratio_label(3.9999) == "400%"
 
     def test_run_uvm_experiment_end_to_end(self):
-        def program(cuda):
-            buffer = cuda.malloc_managed(8 * MIB)
-            cuda.prefetch_async(buffer)
+        def setup(cuda):
+            cuda.session["buffer"] = cuda.malloc_managed(8 * MIB)
+            yield from ()
+
+        def body(cuda):
+            cuda.prefetch_async(cuda.session["buffer"])
             yield from cuda.synchronize()
 
-        result = run_uvm_experiment(
-            program,
-            "UVM-opt",
-            "200%",
+        plan = Plan(
+            setup=setup,
+            body=body,
+            system="UVM-opt",
+            config_label="200%",
             app_bytes=16 * MIB,
             ratio=2.0,
             gpu=tiny_gpu(memory_mib=64),
-            link=pcie_gen4(),
+            make_link=pcie_gen4,
             metric=lambda rt: 42.0,
         )
+        result = run_uvm_experiment(plan)
         assert result.system == "UVM-opt"
         assert result.config == "200%"
         assert result.metric == 42.0
         assert result.counters["zeroed_blocks"] == 4
+
+        def too_big(cuda):
+            yield from cuda.malloc_device(128 * MIB)
+
+        with pytest.raises(OutOfMemoryError, match="do not fit in the"):
+            run_uvm_experiment(replace(plan, body=too_big))

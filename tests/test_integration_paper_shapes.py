@@ -10,6 +10,8 @@ import pytest
 
 from repro import AccessMode, BufferAccess, CudaRuntime, KernelSpec
 from repro.cuda.device import rtx_3080ti
+from repro.harness.pipeline import simulate
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen3, pcie_gen4
 from repro.units import MIB
@@ -19,6 +21,11 @@ from repro.workloads.hash_join import HashJoinConfig, HashJoinWorkload
 from conftest import tiny_gpu
 
 SCALE = 1 / 32
+GPU = rtx_3080ti().scaled(SCALE)
+
+
+def run(workload, system, ratio, link=pcie_gen4):
+    return run_uvm_experiment(workload.plan(system, ratio, GPU, link))
 
 
 class TestFigure2Lifecycle:
@@ -75,9 +82,8 @@ class TestHeadlineClaims:
         """'a 4.17 times speedup by eliminating 85.8% of memory transfers'
         — shape: >2x speedup, >60% eliminated at 200%."""
         workload = HashJoinWorkload(HashJoinConfig().scaled(SCALE))
-        gpu = rtx_3080ti().scaled(SCALE)
-        opt = workload.run(System.UVM_OPT, 2.0, gpu, pcie_gen4())
-        eager = workload.run(System.UVM_DISCARD, 2.0, gpu, pcie_gen4())
+        opt = run(workload, System.UVM_OPT, 2.0)
+        eager = run(workload, System.UVM_DISCARD, 2.0)
         speedup = opt.elapsed_seconds / eager.elapsed_seconds
         eliminated = 1 - eager.traffic_gb / opt.traffic_gb
         assert speedup > 2.0
@@ -86,11 +92,10 @@ class TestHeadlineClaims:
     def test_fir_constant_savings_claim(self):
         """'consistently eliminate 5.56GB' — savings ~constant in ratio."""
         workload = FirWorkload(FirConfig().scaled(SCALE))
-        gpu = rtx_3080ti().scaled(SCALE)
         savings = []
         for ratio in (2.0, 3.0, 4.0):
-            opt = workload.run(System.UVM_OPT, ratio, gpu, pcie_gen4())
-            eager = workload.run(System.UVM_DISCARD, ratio, gpu, pcie_gen4())
+            opt = run(workload, System.UVM_OPT, ratio)
+            eager = run(workload, System.UVM_DISCARD, ratio)
             savings.append(opt.traffic_gb - eager.traffic_gb)
         spread = max(savings) - min(savings)
         assert spread < 0.25 * max(savings)
@@ -98,11 +103,10 @@ class TestHeadlineClaims:
     def test_pcie3_and_pcie4_same_story(self):
         """Normalized runtimes barely depend on the link generation."""
         workload = FirWorkload(FirConfig().scaled(SCALE))
-        gpu = rtx_3080ti().scaled(SCALE)
         ratios = {}
-        for name, link in (("gen3", pcie_gen3()), ("gen4", pcie_gen4())):
-            opt = workload.run(System.UVM_OPT, 2.0, gpu, link)
-            eager = workload.run(System.UVM_DISCARD, 2.0, gpu, link)
+        for name, link in (("gen3", pcie_gen3), ("gen4", pcie_gen4)):
+            opt = run(workload, System.UVM_OPT, 2.0, link)
+            eager = run(workload, System.UVM_DISCARD, 2.0, link)
             ratios[name] = eager.elapsed_seconds / opt.elapsed_seconds
         assert ratios["gen3"] == pytest.approx(ratios["gen4"], abs=0.1)
 
@@ -113,13 +117,8 @@ class TestDriverInvariants:
     @pytest.fixture(scope="class")
     def stressed(self):
         workload = HashJoinWorkload(HashJoinConfig().scaled(SCALE))
-        gpu = rtx_3080ti().scaled(SCALE)
-        runtime = CudaRuntime(gpu=gpu)
-        from repro.harness.oversubscribe import apply_oversubscription
-
-        apply_oversubscription(runtime, workload.config.app_bytes, 2.0)
-        runtime.run(workload.program(System.UVM_DISCARD_LAZY))
-        return runtime
+        plan = workload.plan(System.UVM_DISCARD_LAZY, 2.0, GPU, pcie_gen4)
+        return simulate(plan)[1]
 
     def test_no_frame_leak(self, stressed):
         """Frames resident via queues equal frames the allocator handed out."""

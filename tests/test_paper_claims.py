@@ -8,6 +8,7 @@ numbers — see EXPERIMENTS.md for the full comparison).
 import pytest
 
 from repro.cuda.device import rtx_3080ti
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.workloads.dl import (
@@ -22,11 +23,15 @@ SCALE = 1 / 16
 GPU = rtx_3080ti().scaled(SCALE)
 
 
+def run(workload, system, ratio):
+    return run_uvm_experiment(workload.plan(system, ratio, GPU, pcie_gen4))
+
+
 def train(network, batch, system):
     trainer = DarknetTrainer(
         network.scaled(SCALE), TrainerConfig(batch_size=batch), system
     )
-    return trainer.run(GPU, pcie_gen4())
+    return run_uvm_experiment(trainer.plan(GPU, pcie_gen4))
 
 
 class TestAbstractClaims:
@@ -35,8 +40,8 @@ class TestAbstractClaims:
         memory, UvmDiscard enables a 4.17 times speedup by eliminating
         85.8% of memory transfers.'  Band: >=2.5x and >=65%."""
         workload = HashJoinWorkload(HashJoinConfig().scaled(SCALE))
-        opt = workload.run(System.UVM_OPT, 2.0, GPU, pcie_gen4())
-        eager = workload.run(System.UVM_DISCARD, 2.0, GPU, pcie_gen4())
+        opt = run(workload, System.UVM_OPT, 2.0)
+        eager = run(workload, System.UVM_DISCARD, 2.0)
         speedup = opt.elapsed_seconds / eager.elapsed_seconds
         eliminated = 1 - eager.traffic_gb / opt.traffic_gb
         assert speedup >= 2.5

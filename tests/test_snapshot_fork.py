@@ -13,7 +13,10 @@ Three layers, mirroring the machinery's structure:
   fork per point) must reproduce :func:`execute_point` (cold) results
   byte-for-byte,
 - sweep level — :func:`run_sweep` reports and cache contents must be
-  identical with forking on or off, serial or pooled.
+  identical with forking on or off, serial or pooled,
+- experiment level — :func:`run_uvm_experiment` (the paper tables'
+  cold path) must equal a fork of the plan's own prefix for every
+  workload family, the baselines and No-UVM included.
 
 There is deliberately no tolerance anywhere in this file: snapshot
 reuse is advertised as a pure wall-clock optimization, so a single
@@ -30,9 +33,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import LmsTrainer, ManualSwapTrainer
+from repro.cuda.device import rtx_3080ti
 from repro.engine.core import Environment, _PENDING
 from repro.engine.snapshot import EngineSnapshot, assert_quiescent
 from repro.errors import SnapshotError
+from repro.harness.pipeline import build_prefix, simulate
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.sweep import (
     ResultCache,
     SweepPoint,
@@ -41,6 +48,15 @@ from repro.harness.sweep import (
     prefix_key,
     run_sweep,
 )
+from repro.harness.systems import System
+from repro.interconnect import pcie_gen4
+from repro.workloads.dl import (
+    CheckpointTrainer,
+    DarknetTrainer,
+    TrainerConfig,
+    vgg16,
+)
+from repro.workloads.fir import FirConfig, FirWorkload
 
 UVM_SYSTEMS = ("UVM-opt", "UvmDiscard", "UvmDiscardLazy")
 
@@ -94,6 +110,31 @@ def _grouped_corpus():
         groups.setdefault(prefix_key(point), []).append(point)
     assert None not in groups
     return sorted(groups.items(), key=lambda kv: repr(kv[0]))
+
+
+def _family_plans():
+    """One cold-runnable plan per workload family, at scale 1/32."""
+    scale = 1 / 32
+    gpu = rtx_3080ti().scaled(scale)
+    network = vgg16().scaled(scale)
+    fits = TrainerConfig(batch_size=40)
+    oversubscribed = TrainerConfig(batch_size=150)
+    return {
+        "fir": FirWorkload(FirConfig().scaled(scale)).plan(
+            System.UVM_DISCARD, 2.0, gpu, pcie_gen4
+        ),
+        "darknet-discard": DarknetTrainer(
+            network, oversubscribed, System.UVM_DISCARD
+        ).plan(gpu, pcie_gen4),
+        "darknet-no-uvm": DarknetTrainer(network, fits, System.NO_UVM).plan(
+            gpu, pcie_gen4
+        ),
+        "lms": LmsTrainer(network, fits).plan(gpu, pcie_gen4),
+        "manual-swap": ManualSwapTrainer(network, fits).plan(gpu, pcie_gen4),
+        "checkpoint": CheckpointTrainer(network, oversubscribed).plan(
+            gpu, pcie_gen4
+        ),
+    }
 
 
 def _canonical(result):
@@ -261,6 +302,13 @@ class TestForkEqualsCold:
         point = SweepPoint("fir", "UvmDiscard", ratio=2.0, scale=0.01)
         (forked,) = execute_group([point])
         assert _canonical(forked) == _canonical(execute_point(point))
+
+    @pytest.mark.parametrize("family", list(_family_plans()))
+    def test_cold_experiment_equals_fork_of_its_prefix(self, family):
+        plan = _family_plans()[family]
+        cold = run_uvm_experiment(plan)
+        forked, _ = simulate(plan, EngineSnapshot(build_prefix(plan)))
+        assert _canonical(forked) == _canonical(cold)
 
 
 class TestRunSweepForking:

@@ -163,6 +163,22 @@ class TestCacheBehaviour:
         changed = run_sweep(fir_points(ratios=(3.0,)), cache=cache)
         assert changed.simulated == len(changed.points)
 
+    def test_entries_from_other_simulator_source_are_resimulated(
+        self, tmp_path, monkeypatch
+    ):
+        """A cache filled by different simulator code never serves this
+        code: the key folds in the source fingerprint."""
+        from repro.harness import sweep as sweep_module
+
+        cache = ResultCache(tmp_path / "cache")
+        points = fir_points(ratios=(2.0,), systems=("UVM-opt",))
+        monkeypatch.setattr(sweep_module, "source_fingerprint", lambda: "0" * 64)
+        assert run_sweep(points, cache=cache).simulated == len(points)
+        monkeypatch.undo()
+        fresh = run_sweep(points, cache=cache)
+        assert fresh.simulated == len(points)
+        assert fresh.cached == 0
+
     def test_corrupted_entries_are_resimulated(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         points = fir_points()
@@ -237,15 +253,21 @@ class TestWorkerPool:
 
 class TestExecutePoint:
     def test_micro_point_matches_direct_run(self):
+        """``plan_for`` resolves the point's names to the same workload,
+        GPU and link a direct run builds."""
         from repro.cuda.device import rtx_3080ti
+        from repro.harness.runner import run_uvm_experiment
         from repro.harness.systems import System
         from repro.interconnect import pcie_gen4
         from repro.workloads.fir import FirConfig, FirWorkload
 
         point = SweepPoint(workload="fir", system="UvmDiscard", ratio=2.0, scale=0.01)
         via_sweep = execute_point(point)
-        direct = FirWorkload(FirConfig().scaled(0.01)).run(
-            System.UVM_DISCARD, 2.0, rtx_3080ti().scaled(0.01), pcie_gen4()
+        workload = FirWorkload(FirConfig().scaled(0.01))
+        direct = run_uvm_experiment(
+            workload.plan(
+                System.UVM_DISCARD, 2.0, rtx_3080ti().scaled(0.01), pcie_gen4
+            )
         )
         assert via_sweep.to_dict() == direct.to_dict()
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cuda.device import rtx_3080ti
 from repro.errors import ConfigurationError
+from repro.harness.runner import run_uvm_experiment
 from repro.harness.systems import System
 from repro.interconnect import pcie_gen4
 from repro.units import BIG_PAGE
@@ -19,6 +20,10 @@ from repro.workloads import (
 
 SCALE = 1 / 32
 GPU = rtx_3080ti().scaled(SCALE)
+
+
+def run(workload, system, ratio):
+    return run_uvm_experiment(workload.plan(system, ratio, GPU, pcie_gen4))
 
 
 class TestFirConfig:
@@ -49,7 +54,7 @@ class TestFirShape:
         out = {}
         for ratio in (0.99, 2.0):
             for system in (System.UVM_OPT, System.UVM_DISCARD):
-                out[(ratio, system)] = workload.run(system, ratio, GPU, pcie_gen4())
+                out[(ratio, system)] = run(workload, system, ratio)
         return out
 
     def test_no_eviction_when_fits(self, results):
@@ -76,9 +81,9 @@ class TestFirShape:
 class TestRadixShape:
     def test_eager_overhead_lazy_free_at_fit(self):
         workload = RadixSortWorkload(RadixSortConfig().scaled(SCALE))
-        opt = workload.run(System.UVM_OPT, 0.99, GPU, pcie_gen4())
-        eager = workload.run(System.UVM_DISCARD, 0.99, GPU, pcie_gen4())
-        lazy = workload.run(System.UVM_DISCARD_LAZY, 0.99, GPU, pcie_gen4())
+        opt = run(workload, System.UVM_OPT, 0.99)
+        eager = run(workload, System.UVM_DISCARD, 0.99)
+        lazy = run(workload, System.UVM_DISCARD_LAZY, 0.99)
         assert eager.elapsed_seconds > 1.02 * opt.elapsed_seconds
         assert lazy.elapsed_seconds < 1.02 * opt.elapsed_seconds
         # Same traffic everywhere at fit (nothing to save).
@@ -86,8 +91,8 @@ class TestRadixShape:
 
     def test_thrashing_dominates_oversubscribed(self):
         workload = RadixSortWorkload(RadixSortConfig().scaled(SCALE))
-        opt = workload.run(System.UVM_OPT, 2.0, GPU, pcie_gen4())
-        eager = workload.run(System.UVM_DISCARD, 2.0, GPU, pcie_gen4())
+        opt = run(workload, System.UVM_OPT, 2.0)
+        eager = run(workload, System.UVM_DISCARD, 2.0)
         assert opt.traffic_gb > 3 * workload.config.app_bytes / 1e9
         assert eager.traffic_gb < opt.traffic_gb
         assert eager.elapsed_seconds < opt.elapsed_seconds
@@ -102,20 +107,20 @@ class TestRadixShape:
 class TestHashJoinShape:
     def test_discard_wins_big_at_200(self):
         workload = HashJoinWorkload(HashJoinConfig().scaled(SCALE))
-        opt = workload.run(System.UVM_OPT, 2.0, GPU, pcie_gen4())
-        eager = workload.run(System.UVM_DISCARD, 2.0, GPU, pcie_gen4())
+        opt = run(workload, System.UVM_OPT, 2.0)
+        eager = run(workload, System.UVM_DISCARD, 2.0)
         assert eager.elapsed_seconds < 0.6 * opt.elapsed_seconds
         assert eager.traffic_gb < 0.5 * opt.traffic_gb
 
     def test_dead_intermediates_classified_redundant(self):
         workload = HashJoinWorkload(HashJoinConfig().scaled(SCALE))
-        opt = workload.run(System.UVM_OPT, 2.0, GPU, pcie_gen4())
+        opt = run(workload, System.UVM_OPT, 2.0)
         assert opt.redundant_gb > 0.5 * opt.traffic_gb
 
     def test_lazy_system_uses_both_modes(self):
         """§7.4: 'not all UvmDiscard calls can be replaced'."""
         workload = HashJoinWorkload(HashJoinConfig().scaled(SCALE))
-        lazy = workload.run(System.UVM_DISCARD_LAZY, 0.99, GPU, pcie_gen4())
+        lazy = run(workload, System.UVM_DISCARD_LAZY, 0.99)
         assert lazy.counters.get("discarded_blocks", 0) > 0
         # No misuse: the scratch sites stayed eager.
         assert lazy.counters.get("lazy_misuses", 0) == 0
