@@ -9,13 +9,13 @@ suite next door) because they fire hundreds of requests:
   ``http.peak`` high-water mark in ``/metrics``),
 - **soak with dedup**: a seeded duplicate-heavy mix over the standard
   point population reports p50/p99 latency, a dedup hit-rate > 0, both
-  cold and forked pool serves, and spot-checked byte-identity against
+  cold and blob-forked serves, and spot-checked byte-identity against
   local :func:`~repro.harness.sweep.execute_point` runs,
 - **overload**: with a tiny queue, the retrying client absorbs 429
   backpressure and still completes every request.
 
-All servers here use the thread executor so pool counters land in one
-process and the run stays deterministic-ish on small CI boxes.
+All servers here use the thread executor so blob-store counters land in
+one process and the run stays deterministic-ish on small CI boxes.
 """
 
 from __future__ import annotations
@@ -163,10 +163,11 @@ def test_soak_duplicate_mix_dedups_and_stays_byte_identical(tmp_path):
         assert report.dedup_hits > 0
         assert report.metrics["counters"]["serve/simulated"] <= 12
 
-        # Warm pool: the first point per prefix cold-starts, later
-        # distinct points fork — both observable client- and server-side.
+        # Shared prefixes: the first point per prefix cold-starts, later
+        # distinct points fork its blob — both observable client- and
+        # server-side.
         assert report.sources.get("cold", 0) > 0
-        assert report.sources.get("fork", 0) > 0
+        assert report.sources.get("blob", 0) > 0
         assert report.metrics["pool_hit_rate"] > 0.0
 
         # Latency quantiles come out of both the client report and the

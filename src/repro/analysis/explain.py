@@ -47,10 +47,10 @@ def _with_records(point):
     return dataclasses.replace(point, driver=tuple(sorted(overrides.items())))
 
 
-def _traced_with_records(point, via_fork: bool = False):
+def _traced_with_records(point):
     from repro.harness.tracerun import traced_run
 
-    return traced_run(_with_records(point), via_fork=via_fork)
+    return traced_run(_with_records(point))
 
 
 def _replay_trace_of(tracer):
@@ -69,9 +69,7 @@ def _totals(runtime) -> Dict[str, int]:
     }
 
 
-def explain_point(
-    point, estimate_savings: bool = True, via_fork: bool = False
-) -> Dict[str, Any]:
+def explain_point(point, estimate_savings: bool = True) -> Dict[str, Any]:
     """Run ``point`` and explain where its bytes went.
 
     Returns a plain-JSON report: the point's identity, the
@@ -81,7 +79,7 @@ def explain_point(
     savings of applying them, priced by replaying the recorded op
     stream with the inferred discards inserted.
     """
-    result, tracer, runtime = _traced_with_records(point, via_fork=via_fork)
+    result, tracer, runtime = _traced_with_records(point)
     report: Dict[str, Any] = {
         "point": {
             "workload": point.workload,
@@ -127,7 +125,7 @@ def explain_point(
 
 
 def check_discard_inference(
-    base_point, hand_point, system: str, via_fork: bool = False
+    base_point, hand_point, system: str
 ) -> Dict[str, Any]:
     """Verify inferred discards against the hand-placed ones, byte for byte.
 
@@ -138,14 +136,10 @@ def check_discard_inference(
 
         base - replay(infer(base))  ==  base - hand     (h2d and d2h)
     """
-    base_result, base_tracer, base_runtime = _traced_with_records(
-        base_point, via_fork=via_fork
-    )
+    base_result, base_tracer, base_runtime = _traced_with_records(base_point)
     if base_runtime is None or base_result is None:
         raise RuntimeError(f"{base_point.label}: baseline run OOMed")
-    hand_result, _, hand_runtime = _traced_with_records(
-        hand_point, via_fork=via_fork
-    )
+    hand_result, _, hand_runtime = _traced_with_records(hand_point)
     if hand_runtime is None or hand_result is None:
         raise RuntimeError(f"{hand_point.label}: hand-discard run OOMed")
     from repro.workloads.replay import run_replay

@@ -19,10 +19,11 @@ Commands:
   installed and export a Perfetto-loadable Chrome trace plus an
   optional metrics time-series CSV (see ``docs/OBSERVABILITY.md``),
 - ``serve`` — the long-running simulation-as-a-service frontend: a
-  JSON-over-HTTP API with content-hash dedup, warm snapshot pools,
-  backpressure and per-client rate limits (see ``docs/SERVING.md``),
+  JSON-over-HTTP API with content-hash dedup, a shared blob store of
+  setup-prefix snapshots, backpressure and per-client rate limits (see
+  ``docs/SERVING.md``),
 - ``loadgen`` — replay a seeded mix of concurrent requests against a
-  running server and report p50/p99 latency plus dedup/pool hit rates,
+  running server and report p50/p99 latency plus dedup/blob hit rates,
 - ``demo`` — the VectorAdd quickstart with verified results.
 
 The heavyweight regeneration of *every* table and figure lives in
@@ -508,7 +509,7 @@ def cmd_trace(args) -> int:
                 ratio=args.ratio, scale=args.scale,
             )
         config = TraceConfig(metrics_cadence=args.cadence)
-        result, tracer = trace_point(point, config, via_fork=args.fork)
+        result, tracer = trace_point(point, config)
     except (ConfigurationError, ValueError) as exc:
         print(f"bad trace spec: {exc}", file=sys.stderr)
         return 2
@@ -612,14 +613,13 @@ def cmd_explain(args) -> int:
                 point_for(System.UVM_OPT.value),
                 point_for(check_system.value),
                 check_system.value,
-                via_fork=args.fork,
             )
             if args.json:
                 print(json.dumps(check, indent=2))
             else:
                 print(render_check(check, name))
             return 0 if check["ok"] else 1
-        report = explain_point(point_for(system.value), via_fork=args.fork)
+        report = explain_point(point_for(system.value))
         if args.out:
             pathlib.Path(args.out).write_text(
                 json.dumps(report, indent=2) + "\n"
@@ -721,8 +721,6 @@ def cmd_serve(args) -> int:
             port=args.port,
             workers=args.workers,
             executor=args.executor,
-            pool_bytes=args.pool_bytes,
-            blob_bytes=args.blob_bytes,
             blob_dir=pathlib.Path(args.blob_dir) if args.blob_dir else None,
             queue_limit=args.queue_limit,
             rate=args.rate,
@@ -897,8 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--blob-store",
         metavar="DIR",
         help="shared snapshot blob-store directory for multi-job sweeps "
-        "(default: $REPRO_BLOB_STORE, else a temporary directory); a "
-        "named directory persists builds.log for build-count auditing",
+        "(default: a temporary directory); a named directory persists "
+        "builds.log for build-count auditing",
     )
     sweep.add_argument("--csv", help="also write raw rows to this CSV file")
     sweep.add_argument(
@@ -1062,12 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine events between metric samples; 0 disables (default 256)",
     )
     trace.add_argument(
-        "--fork",
-        action="store_true",
-        help="run the measured body on a snapshot fork of the setup "
-        "prefix (the trace must be identical to a cold run)",
-    )
-    trace.add_argument(
         "--validate",
         metavar="FILE",
         help="validate an existing trace file instead of running",
@@ -1121,11 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", help="also save the JSON report to PATH"
     )
     explain.add_argument(
-        "--fork",
-        action="store_true",
-        help="run the measured body on a snapshot fork of the setup prefix",
-    )
-    explain.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
     explain.set_defaults(func=cmd_explain)
@@ -1165,7 +1152,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the simulation-as-a-service experiment server "
-        "(JSON-over-HTTP, warm snapshot pools, result-cache dedup)",
+        "(JSON-over-HTTP, shared prefix snapshots, result-cache dedup)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -1185,26 +1172,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="process",
         choices=("process", "thread"),
         help="process executor for true parallelism (default), or the "
-        "thread executor (single shared snapshot pool; tests/CI)",
-    )
-    serve.add_argument(
-        "--pool-bytes",
-        type=int,
-        default=256 * 1024 * 1024,
-        help="warm snapshot-pool byte budget per worker "
-        "(default 256 MiB; 0 disables pooling)",
-    )
-    serve.add_argument(
-        "--blob-bytes",
-        type=int,
-        default=512 * 1024 * 1024,
-        help="host-shared blob-store byte budget for serialized prefix "
-        "snapshots (default 512 MiB; 0 disables cross-worker sharing)",
+        "thread executor (one process; tests/CI)",
     )
     serve.add_argument(
         "--blob-dir",
-        help="blob-store directory shared by the workers (default: a "
-        "per-server temporary directory, removed at shutdown)",
+        help="blob-store directory of serialized setup-prefix snapshots "
+        "shared by the workers (default: a per-server temporary "
+        "directory, removed at shutdown)",
     )
     serve.add_argument(
         "--queue-limit",
@@ -1246,7 +1220,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen = sub.add_parser(
         "loadgen",
         help="replay concurrent requests against a running server and "
-        "report latency/dedup/pool statistics",
+        "report latency/dedup/blob statistics",
     )
     loadgen.add_argument("--url", required=True, help="server base URL")
     loadgen.add_argument(

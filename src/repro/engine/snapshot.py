@@ -51,10 +51,8 @@ import functools
 import hashlib
 import os
 import pickle
-import sys
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Generic, Optional, Tuple, TypeVar, Union
 
@@ -133,290 +131,8 @@ class EngineSnapshot(Generic[T]):
         return pickle.loads(self._blob)
 
     def payload_nbytes(self) -> int:
-        """Exact size of the frozen payload blob, in bytes.
-
-        Used by :class:`SnapshotPool` and :class:`BlobStore` byte
-        accounting.  Serialize-once makes this free: the blob already
-        exists, so no estimation walk is needed.
-        """
+        """Exact size of the frozen payload blob, in bytes."""
         return len(self._blob)
-
-
-def estimate_nbytes(obj: object) -> int:
-    """Best-effort deep size of ``obj`` in bytes.
-
-    ``pickle`` length when the graph pickles (a quiescent simulation
-    does: finished processes shed their generators), else a recursive
-    ``sys.getsizeof`` traversal over ``__dict__``/containers.
-    """
-    try:
-        return len(pickle.dumps(obj, protocol=PICKLE_PROTOCOL))
-    except Exception:
-        return _getsizeof_walk(obj)
-
-
-def _getsizeof_walk(root: object) -> int:
-    seen = set()
-    total = 0
-    stack = [root]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        try:
-            total += sys.getsizeof(obj)
-        except TypeError:  # pragma: no cover - exotic objects
-            continue
-        if isinstance(obj, dict):
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            stack.extend(obj)
-        elif hasattr(obj, "__dict__"):
-            stack.append(obj.__dict__)
-        elif hasattr(obj, "__slots__"):
-            for slot in obj.__slots__:
-                if hasattr(obj, slot):
-                    stack.append(getattr(obj, slot))
-    return total
-
-
-class _PoolEntry:
-    __slots__ = ("snapshot", "nbytes", "forks")
-
-    def __init__(self, snapshot: EngineSnapshot, nbytes: int) -> None:
-        self.snapshot = snapshot
-        self.nbytes = nbytes
-        self.forks = 0
-
-
-class _BuildClaim:
-    """Single-flight token: first thread to miss on a key owns the build."""
-
-    __slots__ = ("event", "owner")
-
-    def __init__(self, owner: int) -> None:
-        self.event = threading.Event()
-        self.owner = owner
-
-
-class SnapshotPool:
-    """An LRU-bounded, byte-budgeted registry of warm snapshots.
-
-    The experiment server keeps one pool per worker: popular setup
-    prefixes (keyed by :func:`repro.harness.sweep.prefix_key`) are
-    snapshotted once and then *forked* per request instead of
-    cold-starting the whole simulation.  The pool enforces three
-    invariants, pinned by ``tests/test_serve_pool_property.py``:
-
-    - the summed ``nbytes`` of admitted entries never exceeds
-      ``max_bytes`` (least-recently-used entries are evicted to make
-      room; an entry larger than the whole budget is refused),
-    - a non-quiescent simulation is never admitted — admission takes an
-      :class:`EngineSnapshot`, whose constructor raises
-      :class:`~repro.errors.SnapshotError` on live process frames, and
-      :meth:`admit` turns that into a counted refusal,
-    - eviction is transparent: a missing prefix simply cold-starts, and
-      (because forked runs are byte-identical to cold ones) the served
-      result is unchanged.
-
-    Misses are **single-flight** per key: the first thread to miss owns
-    the build, and concurrent threads missing on the same key block
-    until the owner :meth:`admit`\\ s (or :meth:`release`\\ s) the key
-    instead of all rebuilding the same prefix.  Two escape hatches keep
-    this deadlock-free: the owning thread re-missing on its own key is
-    handed the miss again (it is mid-build; making it wait on itself
-    would hang — this also preserves the historical ``fork()`` contract
-    for single-threaded callers that never admit), and a waiter whose
-    builder exceeds ``build_wait_seconds`` steals the build rather than
-    stall forever behind a wedged worker.
-
-    All methods are thread-safe; the server's thread executor shares
-    one pool, the process executor keeps one per worker process.
-    """
-
-    #: How long a waiter trusts another thread's in-flight build before
-    #: stealing it.  Prefix builds are milliseconds; a minute means a
-    #: genuinely wedged builder, not a slow one.
-    BUILD_WAIT_SECONDS = 60.0
-
-    def __init__(
-        self, max_bytes: int, build_wait_seconds: Optional[float] = None
-    ) -> None:
-        if max_bytes < 0:
-            raise ValueError(f"pool budget must be >= 0 bytes, got {max_bytes}")
-        self.max_bytes = max_bytes
-        self.build_wait_seconds = (
-            self.BUILD_WAIT_SECONDS
-            if build_wait_seconds is None
-            else build_wait_seconds
-        )
-        self._entries: "OrderedDict[Tuple, _PoolEntry]" = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self._building: Dict[Tuple, _BuildClaim] = {}
-        self.hits = 0
-        self.misses = 0
-        self.coalesced = 0
-        self.steals = 0
-        self.admitted = 0
-        self.evicted = 0
-        self.rejected_live = 0
-        self.rejected_oversize = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def admit(
-        self,
-        key: Tuple,
-        root: object,
-        nbytes: Optional[int] = None,
-    ) -> bool:
-        """Snapshot ``root`` (or accept a prebuilt snapshot) under ``key``.
-
-        Returns ``False`` — never raises — when the simulation is not
-        quiescent (``rejected_live``) or larger than the entire budget
-        (``rejected_oversize``).  Admitting an existing key replaces the
-        old entry.  Evicts least-recently-used entries until the budget
-        holds.  Always resolves this key's single-flight claim, so
-        threads parked in :meth:`lookup` wake up whether admission
-        succeeded or was refused.
-        """
-        try:
-            if isinstance(root, EngineSnapshot):
-                snapshot = root
-            else:
-                try:
-                    snapshot = EngineSnapshot(root)
-                except SnapshotError:
-                    with self._lock:
-                        self.rejected_live += 1
-                    return False
-            if nbytes is None:
-                nbytes = snapshot.payload_nbytes()
-            if nbytes < 0:
-                raise ValueError(f"snapshot nbytes must be >= 0, got {nbytes}")
-            with self._lock:
-                if nbytes > self.max_bytes:
-                    self.rejected_oversize += 1
-                    return False
-                old = self._entries.pop(key, None)
-                if old is not None:
-                    self._bytes -= old.nbytes
-                self._entries[key] = _PoolEntry(snapshot, nbytes)
-                self._bytes += nbytes
-                while self._bytes > self.max_bytes:
-                    _, evicted = self._entries.popitem(last=False)
-                    self._bytes -= evicted.nbytes
-                    self.evicted += 1
-                self.admitted += 1
-            return True
-        finally:
-            self.release(key)
-
-    def lookup(self, key: Tuple) -> Optional[EngineSnapshot]:
-        """The warm snapshot for ``key``, or ``None`` with a build claim.
-
-        A ``None`` return means *this caller* owns the (single-flight)
-        build for ``key``: it should construct the prefix and then call
-        :meth:`admit` — or :meth:`release` on failure — so waiters
-        parked here wake up.  Concurrent callers missing on the same
-        key block until then and re-check the pool.
-        """
-        me = threading.get_ident()
-        deadline: Optional[float] = None
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    entry.forks += 1
-                    self.hits += 1
-                    return entry.snapshot
-                claim = self._building.get(key)
-                if claim is None or claim.owner == me:
-                    if claim is None:
-                        self._building[key] = _BuildClaim(me)
-                    self.misses += 1
-                    return None
-                self.coalesced += 1
-            if deadline is None:
-                deadline = time.monotonic() + self.build_wait_seconds
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not claim.event.wait(remaining):
-                # The builder is wedged: steal the build instead of
-                # stalling every same-prefix request behind it.
-                with self._lock:
-                    if self._building.get(key) is claim:
-                        self._building[key] = _BuildClaim(me)
-                    self.steals += 1
-                    self.misses += 1
-                return None
-
-    def release(self, key: Tuple) -> None:
-        """Resolve ``key``'s single-flight claim without admitting.
-
-        Called by a claim owner whose build failed (OOM, non-quiescent
-        root); waiting threads wake and the next one takes the claim.
-        A no-op when no claim is outstanding.
-        """
-        with self._lock:
-            claim = self._building.pop(key, None)
-        if claim is not None:
-            claim.event.set()
-
-    def fork(self, key: Tuple):
-        """A fresh runtime forked from the warm snapshot for ``key``, or
-        ``None`` on a pool miss (the caller cold-starts — and owns the
-        single-flight build claim, resolved by its ``admit``/``release``).
-        """
-        snapshot = self.lookup(key)
-        if snapshot is None:
-            return None
-        # Fork outside the lock: the deserialization is the expensive
-        # part and EngineSnapshot.fork never mutates the frozen blob.
-        return snapshot.fork()
-
-    def evict(self, key: Tuple) -> bool:
-        """Explicitly drop one entry; ``True`` when it existed."""
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return False
-            self._bytes -= entry.nbytes
-            self.evicted += 1
-            return True
-
-    def clear(self) -> None:
-        with self._lock:
-            self.evicted += len(self._entries)
-            self._entries.clear()
-            self._bytes = 0
-
-    def stats(self) -> Dict[str, object]:
-        """A JSON-able stats snapshot for ``/metrics``."""
-        with self._lock:
-            lookups = self.hits + self.misses
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": (self.hits / lookups) if lookups else 0.0,
-                "coalesced": self.coalesced,
-                "steals": self.steals,
-                "admitted": self.admitted,
-                "evicted": self.evicted,
-                "rejected_live": self.rejected_live,
-                "rejected_oversize": self.rejected_oversize,
-            }
 
 
 @functools.lru_cache(maxsize=None)
@@ -475,16 +191,16 @@ class BlobStore:
 
     One directory per host (or per sweep) holds serialized prefix
     snapshots, content-addressed by :func:`repro.harness.sweep.prefix_key`
-    and :func:`source_fingerprint` (see :meth:`key_id`).  Sweep pool
-    workers and serve process workers share the directory, so each
-    popular prefix is *built once per host* and every other worker
-    forks from the published blob instead of re-running setup.
+    and :func:`source_fingerprint` (see :meth:`key_id`).  Sweep workers
+    and serve workers share the directory, so each popular prefix is
+    *built once per host* and every other worker forks from the
+    published blob instead of re-running setup.
 
-    Like :class:`SnapshotPool` it is byte-budgeted with LRU eviction
-    (recency = blob file mtime, refreshed on every hit) and refuses
-    oversize blobs.  Builds are single-flight *across processes*: the
-    first worker to miss atomically creates ``<id>.lock``
-    (``O_CREAT | O_EXCL``) and owns the build; others poll until the
+    It is byte-budgeted with LRU eviction (recency = blob file mtime,
+    refreshed on every hit) and refuses oversize blobs.  Builds are
+    single-flight across processes *and threads*: the first worker to
+    miss atomically creates ``<id>.lock`` (``O_CREAT | O_EXCL``) and
+    owns the build; others poll until the
     blob appears, the lock goes stale (owner died — the waiter breaks
     it and steals the build), or ``wait_seconds`` expires (the waiter
     falls back to a private local build so one wedged worker cannot
@@ -494,7 +210,8 @@ class BlobStore:
     host" counter CI asserts on.
 
     Publication is atomic (``os.replace`` of a same-directory temp
-    file), so readers only ever observe absent or complete blobs.
+    file), so readers only ever observe absent or complete blobs.  One
+    instance may be shared by threads: its counters update under a lock.
     """
 
     DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -515,8 +232,9 @@ class BlobStore:
         self.wait_seconds = wait_seconds
         self.poll_seconds = poll_seconds
         self.stale_lock_seconds = stale_lock_seconds
-        # Per-instance (= per-process) counters; the on-disk state
-        # (entries, bytes, builds.log) is the cross-process truth.
+        # Per-instance counters; the on-disk state (entries, bytes,
+        # builds.log) is the cross-process truth.
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.published = 0
@@ -525,6 +243,10 @@ class BlobStore:
         self.lock_waits = 0
         self.lock_steals = 0
         self.wait_timeouts = 0
+
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + 1)
 
     @staticmethod
     def key_id(key: Tuple) -> str:
@@ -551,9 +273,9 @@ class BlobStore:
         path = self._blob_path(self.key_id(key))
         blob = self._read(path)
         if blob is None:
-            self.misses += 1
+            self._count("misses")
         else:
-            self.hits += 1
+            self._count("hits")
             self._touch(path)  # a read is a use: keep LRU eviction honest
         return blob
 
@@ -580,7 +302,7 @@ class BlobStore:
         while True:
             blob = self._read(blob_path)
             if blob is not None:
-                self.hits += 1
+                self._count("hits")
                 self._touch(blob_path)
                 return blob, None
             try:
@@ -592,14 +314,14 @@ class BlobStore:
             else:
                 with os.fdopen(fd, "w") as handle:
                     handle.write(f"{os.getpid()}\n")
-                self.misses += 1
+                self._count("misses")
                 return None, BlobClaim(self, key, kid)
             # Another process is building this prefix: wait for the
             # blob, break stale locks, and eventually give up and
             # build privately.
             if not waited:
                 waited = True
-                self.lock_waits += 1
+                self._count("lock_waits")
                 deadline = time.monotonic() + self.wait_seconds
             try:
                 age = time.time() - lock_path.stat().st_mtime
@@ -607,24 +329,24 @@ class BlobStore:
                 continue  # lock vanished between open() and stat()
             if age > self.stale_lock_seconds:
                 self._drop_lock(kid)
-                self.lock_steals += 1
+                self._count("lock_steals")
                 continue
             if deadline is not None and time.monotonic() > deadline:
-                self.misses += 1
-                self.wait_timeouts += 1
+                self._count("misses")
+                self._count("wait_timeouts")
                 return None, None
             time.sleep(self.poll_seconds)
 
     def _publish(self, kid: str, blob: bytes) -> bool:
         try:
             if len(blob) > self.max_bytes:
-                self.rejected_oversize += 1
+                self._count("rejected_oversize")
                 return False
             blob_path = self._blob_path(kid)
             tmp_path = blob_path.with_suffix(f".tmp.{os.getpid()}")
             tmp_path.write_bytes(blob)
             os.replace(tmp_path, blob_path)
-            self.published += 1
+            self._count("published")
             self._log_build(kid, len(blob))
             self._evict_over_budget(keep=kid)
             return True
@@ -684,7 +406,7 @@ class BlobStore:
             except OSError:  # pragma: no cover - concurrent eviction
                 continue
             total -= size
-            self.evicted += 1
+            self._count("evicted")
 
     def build_counts(self) -> Dict[str, int]:
         """Published builds per key id, parsed from ``builds.log``.
@@ -734,67 +456,37 @@ class BlobStore:
 def resolve_prefix_snapshot(
     key: Tuple,
     build: Callable[[], Optional[object]],
-    pool: Optional[SnapshotPool] = None,
     store: Optional[BlobStore] = None,
 ) -> Tuple[Optional[EngineSnapshot], Optional[str]]:
-    """Resolve the warm snapshot for ``key`` through the shared hierarchy.
+    """Resolve the warm snapshot for ``key`` through the shared store.
 
-    Lookup order: per-process :class:`SnapshotPool` (zero-copy hit),
-    then the host-wide :class:`BlobStore` (one ``pickle.loads`` away),
-    then ``build()`` — a callable returning the quiesced prefix
+    Lookup order: the host-wide :class:`BlobStore` (one ``pickle.loads``
+    away), then ``build()`` — a callable returning the quiesced prefix
     runtime, or ``None`` when the prefix itself fails (e.g. setup OOM).
-    Both layers are single-flight: concurrent same-key callers block on
-    the pool claim, concurrent same-key *processes* block on the store
-    lock, so each prefix is built once per host.
+    The store is single-flight: concurrent same-key callers, threads or
+    processes, block on its lock file, so each prefix is built once per
+    host.
 
-    Returns ``(snapshot, origin)`` with origin ``"pool"`` / ``"blob"``
-    / ``"built"``, or ``(None, None)`` when ``build()`` declined or the
-    built runtime was not quiescent.  All claims are resolved on every
-    path, including exceptions.
+    Returns ``(snapshot, origin)`` with origin ``"blob"`` / ``"built"``,
+    or ``(None, None)`` when ``build()`` declined or the built runtime was
+    not quiescent.  The store's build claim is resolved on every path,
+    including exceptions.
     """
-    if pool is not None:
-        snapshot = pool.lookup(key)
-        if snapshot is not None:
-            return snapshot, "pool"
-    # A pool miss leaves this caller holding the pool's build claim;
-    # release it on every failure path so waiters are not stranded.
-    claim: Optional[BlobClaim] = None
+    blob, claim = (None, None) if store is None else store.fetch_or_claim(key)
+    if blob is not None:
+        return EngineSnapshot.from_blob(blob), "blob"
     try:
-        blob: Optional[bytes] = None
-        if store is not None:
-            blob, claim = store.fetch_or_claim(key)
-        if blob is not None:
-            snapshot = EngineSnapshot.from_blob(blob)
-            origin = "blob"
-        else:
-            root = build()
-            if root is None:
-                if claim is not None:
-                    claim.abandon()
-                    claim = None
-                if pool is not None:
-                    pool.release(key)
-                return None, None
-            try:
-                snapshot = EngineSnapshot(root)
-            except SnapshotError:
-                if claim is not None:
-                    claim.abandon()
-                    claim = None
-                if pool is not None:
-                    pool.release(key)
-                return None, None
-            if claim is not None:
-                claim.publish(snapshot.to_blob())
-                claim = None
-            origin = "built"
-        if pool is not None:
-            # admit() resolves the pool claim (success or refusal).
-            pool.admit(key, snapshot, nbytes=snapshot.payload_nbytes())
-        return snapshot, origin
-    except BaseException:
+        root = build()
+        if root is None:
+            return None, None
+        try:
+            snapshot = EngineSnapshot(root)
+        except SnapshotError:
+            return None, None
+        if claim is not None:
+            claim.publish(snapshot.to_blob())
+            claim = None
+        return snapshot, "built"
+    finally:
         if claim is not None:
             claim.abandon()
-        if pool is not None:
-            pool.release(key)
-        raise

@@ -61,17 +61,6 @@ from repro.harness.systems import System
 #: Environment variable overriding the default on-disk cache location.
 CACHE_ENV = "REPRO_SWEEP_CACHE"
 
-#: Environment variable naming a shared :class:`~repro.engine.snapshot.
-#: BlobStore` directory for multi-process sweeps.  When set, the store
-#: (and its ``builds.log`` build counter) survives the sweep for
-#: inspection; otherwise a per-sweep temporary directory is used and
-#: cleaned up.
-BLOB_STORE_ENV = "REPRO_BLOB_STORE"
-
-#: Byte budget for each sweep worker's in-process snapshot pool (the
-#: zero-deserialization layer above the shared blob store).
-SWEEP_POOL_BYTES = 256 * 1024 * 1024
-
 #: The paper's per-network batch-size grids (Figures 5/6/7, §7.5).
 DL_BATCH_GRID: Dict[str, Tuple[int, ...]] = {
     "vgg16": (50, 75, 100, 125, 150),
@@ -422,8 +411,8 @@ def prefix_key(point: SweepPoint) -> Optional[Tuple]:
     """
     if point.mode == "fast":
         # Analytical points never simulate, so there is no prefix to
-        # share; keeping them out also steers the serve workers'
-        # snapshot pools onto the plain execute_point dispatch.
+        # share; keeping them out also steers the serve workers onto
+        # the plain execute_point dispatch.
         return None
     if System(point.system) is System.NO_UVM:
         return None
@@ -445,7 +434,6 @@ def prefix_key(point: SweepPoint) -> Optional[Tuple]:
 
 def execute_group(
     points: Sequence[SweepPoint],
-    pool=None,
     blob_store=None,
 ) -> List[Optional[ExperimentResult]]:
     """Simulate a group of points sharing one :func:`prefix_key`.
@@ -457,20 +445,18 @@ def execute_group(
     pins that down), so this is purely a wall-clock optimization.  Any
     failure to establish the snapshot degrades to cold per-point runs.
 
-    ``pool`` (a :class:`~repro.engine.snapshot.SnapshotPool`) and
-    ``blob_store`` (a :class:`~repro.engine.snapshot.BlobStore`) widen
-    the reuse scope: the snapshot is resolved through the pool →
-    blob-store → build hierarchy, so sweep workers on one host share
-    each prefix build instead of repeating it.  With either set, even a
-    single-point group forks from the shared snapshot (that is the
-    whole point of splitting groups across workers).
+    ``blob_store`` (a :class:`~repro.engine.snapshot.BlobStore`) widens
+    the reuse scope: the snapshot is resolved through the store before
+    it is built, so sweep workers on one host share each prefix build
+    instead of repeating it.  With a store, even a single-point group
+    forks from the shared snapshot (that is the whole point of
+    splitting groups across workers).
     """
     from repro.engine.snapshot import resolve_prefix_snapshot
 
     points = list(points)
-    shared = pool is not None or blob_store is not None
     key = prefix_key(points[0]) if points else None
-    if key is None or len(points) < (1 if shared else 2):
+    if key is None or len(points) < (1 if blob_store is not None else 2):
         return [execute_point(point) for point in points]
     plans = [plan_for(point) for point in points]
 
@@ -480,9 +466,7 @@ def execute_group(
         except OutOfMemoryError:
             return None
 
-    snapshot, _origin = resolve_prefix_snapshot(
-        key, build, pool=pool, store=blob_store
-    )
+    snapshot, _origin = resolve_prefix_snapshot(key, build, store=blob_store)
     if snapshot is None:
         return [execute_point(point) for point in points]
     # Each fork re-applies its point's full driver config and installs
@@ -509,21 +493,6 @@ def outcome_from_dict(outcome: object) -> Optional[ExperimentResult]:
     return ExperimentResult.from_dict(outcome["result"])
 
 
-#: Per-worker-process snapshot pool, lazily built on first grouped work
-#: item.  Sits above the shared blob store: a worker that sees the same
-#: prefix twice forks from memory without touching disk.
-_SWEEP_WORKER_POOL = None
-
-
-def _sweep_worker_pool():
-    global _SWEEP_WORKER_POOL
-    if _SWEEP_WORKER_POOL is None:
-        from repro.engine.snapshot import SnapshotPool
-
-        _SWEEP_WORKER_POOL = SnapshotPool(SWEEP_POOL_BYTES)
-    return _SWEEP_WORKER_POOL
-
-
 def _pool_group_worker(
     item: Tuple[
         Tuple[int, ...], Tuple[Dict[str, object], ...], Optional[str]
@@ -532,28 +501,19 @@ def _pool_group_worker(
     """Top-level (picklable) worker: simulate one prefix-sharing group
     (or one chunk of a split group) in a subprocess.  Only plain dicts
     and the blob-store path cross the process boundary — snapshots are
-    resolved through the worker pool / shared blob store inside the
-    worker, so each prefix is built once per host."""
+    resolved through the shared blob store inside the worker, so each
+    prefix is built once per host."""
     indices, point_dicts, store_dir = item
     points = [SweepPoint.from_dict(d) for d in point_dicts]
-    if store_dir is None:
-        if len(points) == 1:
-            outcomes = [outcome_to_dict(execute_point(points[0]))]
-        else:
-            outcomes = [
-                outcome_to_dict(result) for result in execute_group(points)
-            ]
-    else:
+    store = None
+    if store_dir is not None:
         from repro.engine.snapshot import BlobStore
 
-        outcomes = [
-            outcome_to_dict(result)
-            for result in execute_group(
-                points,
-                pool=_sweep_worker_pool(),
-                blob_store=BlobStore(store_dir),
-            )
-        ]
+        store = BlobStore(store_dir)
+    outcomes = [
+        outcome_to_dict(result)
+        for result in execute_group(points, blob_store=store)
+    ]
     return list(zip(indices, outcomes))
 
 
@@ -737,9 +697,9 @@ def run_sweep(
     process and every other worker forks from the published blob.
     Chunks are dispatched prefix-affine — one leader chunk per prefix
     first, follower chunks after — so followers land when their blob
-    is already hot.  ``blob_store_dir`` (or ``$REPRO_BLOB_STORE``)
-    names a persistent store directory; by default a per-sweep
-    temporary directory is used and removed afterwards.
+    is already hot.  ``blob_store_dir`` names a persistent store
+    directory; by default a per-sweep temporary directory is used and
+    removed afterwards.
     """
     if isinstance(points, SweepGrid):
         points = points.expand()
@@ -824,9 +784,8 @@ def run_sweep(
     store_dir: Optional[str] = None
     store_cleanup = None
     if jobs > 1 and any(len(members) > 1 for members in groups):
-        explicit = blob_store_dir or os.environ.get(BLOB_STORE_ENV)
-        if explicit:
-            store_dir = str(explicit)
+        if blob_store_dir:
+            store_dir = str(blob_store_dir)
         else:
             import tempfile
 

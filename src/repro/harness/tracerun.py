@@ -10,15 +10,16 @@ holding the timeline.
 The run goes through :func:`~repro.harness.pipeline.simulate`, which
 installs the tracer *after* the setup prefix — exactly where a chaos
 injector attaches on a snapshot fork — so a cold traced run and a
-fork-traced run of the same point produce byte-identical trace JSON and
-equal ``trace_digest`` values (pinned by ``tests/test_trace.py``).
+``simulate(plan, snapshot, tracer)`` run of the same point produce
+byte-identical trace JSON and equal ``trace_digest`` values (pinned by
+``tests/test_trace.py``).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.errors import ConfigurationError
 from repro.harness.results import ExperimentResult
 from repro.harness.systems import System
 from repro.instrument.trace import TraceConfig, Tracer
@@ -27,7 +28,6 @@ from repro.instrument.trace import TraceConfig, Tracer
 def traced_run(
     point,
     trace_config: Optional[TraceConfig] = None,
-    via_fork: bool = False,
 ) -> Tuple[Optional[ExperimentResult], Tracer, Optional[object]]:
     """Simulate ``point`` with tracing enabled, keeping the runtime.
 
@@ -35,39 +35,25 @@ def traced_run(
     paper's No-UVM-style OOM (``runtime`` is ``None`` if the *prefix*
     OOMed).  The runtime gives post-run analysis access to retained
     transfer records and the RMT classifier (``repro.analysis``).
-    ``via_fork=True`` routes the measured body through an
-    :class:`~repro.engine.snapshot.EngineSnapshot` fork of the setup
-    prefix instead of continuing the cold runtime — the trace must be
-    identical either way.
 
     Raises :class:`~repro.errors.ConfigurationError` for No-UVM points,
     which have no driver to trace.
     """
-    from repro.harness.pipeline import build_prefix, plan_for, simulate
+    from repro.harness.pipeline import plan_for, simulate
 
     if System(point.system) is System.NO_UVM:
         raise ConfigurationError(
             f"{point.label}: tracing needs a UVM system (No-UVM has no driver)"
         )
-    plan = plan_for(point)
     tracer = Tracer(trace_config or TraceConfig())
-    snapshot = None
-    if via_fork:
-        from repro.engine.snapshot import EngineSnapshot
-
-        try:
-            snapshot = EngineSnapshot(build_prefix(plan))
-        except OutOfMemoryError:
-            return None, tracer, None
-    result, runtime = simulate(plan, snapshot, tracer)
+    result, runtime = simulate(plan_for(point), tracer=tracer)
     return result, tracer, runtime
 
 
 def trace_point(
     point,
     trace_config: Optional[TraceConfig] = None,
-    via_fork: bool = False,
 ) -> Tuple[Optional[ExperimentResult], Tracer]:
     """Simulate ``point`` with tracing enabled (see :func:`traced_run`)."""
-    result, tracer, _ = traced_run(point, trace_config, via_fork)
+    result, tracer, _ = traced_run(point, trace_config)
     return result, tracer

@@ -10,7 +10,7 @@ shared resource: a JSON-over-HTTP API (``POST /run``, ``POST /sweep``,
   simulation),
 - a bounded worker pool (:mod:`concurrent.futures` processes for the
   CPU-bound simulations, an asyncio frontend for the I/O),
-- warm :class:`~repro.engine.snapshot.SnapshotPool` registries keyed by
+- a host-wide :class:`~repro.engine.snapshot.BlobStore` keyed by
   :func:`~repro.harness.sweep.prefix_key`, so popular experiment
   prefixes fork a quiesced snapshot instead of cold-starting,
 - backpressure (bounded queue, ``429`` + ``Retry-After``), per-client

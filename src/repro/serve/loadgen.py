@@ -8,7 +8,7 @@ client threads (each with its own client id and retrying
 - p50/p90/p99/max wall latency (measured client-side, 429 retries
   included — what a caller actually waits),
 - ok/failed counts and absorbed-429 retry counts,
-- server-side dedup and snapshot-pool provenance (scraped from
+- server-side dedup and blob-store provenance (scraped from
   ``/metrics`` and from per-response ``provenance``/``source`` fields),
 - optional byte-identity spot checks: a sample of served outcomes is
   recomputed locally with :func:`~repro.harness.sweep.execute_point`
@@ -31,7 +31,7 @@ from repro.serve.client import ServeClient, ServeError
 
 #: The default unique-point population: every UVM system over a small
 #: micro-workload grid — cheap at tiny scale, and all ``fir`` (or all
-#: ``radix``) points share one prefix key, so the warm pool gets traffic.
+#: ``radix``) points share one prefix key, so the blob store gets traffic.
 DEFAULT_WORKLOADS = ("fir", "radix")
 DEFAULT_SYSTEMS = ("UVM-opt", "UvmDiscard", "UvmDiscardLazy")
 DEFAULT_RATIOS = (1.5, 2.0)
@@ -94,7 +94,7 @@ class LoadReport:
     latencies: List[float] = field(default_factory=list)
     #: provenance -> count, aggregated over per-request responses.
     provenance: Dict[str, int] = field(default_factory=dict)
-    #: pool source -> count ("fork"/"cold"/"unpooled"), simulated only.
+    #: pool source -> count ("blob"/"cold"/"unpooled"), simulated only.
     sources: Dict[str, int] = field(default_factory=dict)
     errors: List[str] = field(default_factory=list)
     metrics: Dict[str, object] = field(default_factory=dict)

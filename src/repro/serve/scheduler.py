@@ -11,19 +11,11 @@ simulation executor and gives every request the same pipeline:
    (queued + running); interactive submissions beyond that raise
    :class:`Backpressure` (HTTP 429 + ``Retry-After``), while background
    sweep jobs politely wait for capacity,
-4. **prefix affinity** — when a point's
-   :func:`~repro.harness.sweep.prefix_key` is cold host-wide and
-   another request is already building it, followers park here (one
-   asyncio event, no worker occupied) until the leader publishes the
-   blob, then fork it warm.  A follower steals the build instead of
-   waiting when workers sit idle or the leader exceeds
-   ``affinity_wait_seconds`` — availability beats dedup — and the
-   blob store's cross-process lock still guarantees one build per
-   host either way,
-5. **execution** — the point crosses to a worker
+4. **execution** — the point crosses to a worker
    (:func:`repro.serve.worker.run_point`), its outcome is written back
-   to the cache, pool fork/blob/cold provenance is counted, and every
-   coalesced waiter is resolved.
+   to the cache, its blob/cold/unpooled source is counted, and every
+   coalesced waiter is resolved.  Workers share setup prefixes through
+   the blob store, whose lock file builds each prefix once per host.
 
 Rate limiting is separate (:class:`RateLimiter`): a token bucket per
 client id, checked by the server before a request reaches the
@@ -126,10 +118,6 @@ class RateLimiter:
 class Scheduler:
     """Dedup/coalesce/bound the flow of points into the executor."""
 
-    #: How long a follower waits on a leader's prefix build before
-    #: stealing it (falling through to the executor anyway).
-    AFFINITY_WAIT_SECONDS = 60.0
-
     def __init__(
         self,
         executor,
@@ -137,8 +125,6 @@ class Scheduler:
         cache: Optional[ResultCache],
         metrics: MetricsRegistry,
         queue_limit: int,
-        workers: int = 0,
-        affinity_wait_seconds: Optional[float] = None,
     ) -> None:
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
@@ -147,32 +133,14 @@ class Scheduler:
         self.cache = cache
         self.metrics = metrics
         self.queue_limit = queue_limit
-        #: Worker count, used for the work-stealing test ("is anyone
-        #: idle?"); 0 disables prefix-affinity gating entirely.
-        self.workers = workers
-        self.affinity_wait_seconds = (
-            self.AFFINITY_WAIT_SECONDS
-            if affinity_wait_seconds is None
-            else affinity_wait_seconds
-        )
         self.outstanding = 0
         self.closing = False
         self._started = time.monotonic()
         self._inflight: Dict[str, asyncio.Future] = {}
         self._capacity = asyncio.Condition()
-        #: Latest pool stats seen per worker pid (process executors have
-        #: one warm pool per worker; the thread executor reports one).
-        self.pool_stats: Dict[int, Dict[str, object]] = {}
-        #: Latest blob-store stats seen per worker pid.
+        #: Latest blob-store stats seen per worker pid (process workers
+        #: each report one; the thread executor reports one).
         self.blob_stats: Dict[int, Dict[str, object]] = {}
-        #: Prefixes known warm somewhere on this host (built at least
-        #: once; eviction may falsify this — then the point just
-        #: rebuilds, so it is only ever a scheduling hint).
-        self._warm_prefixes: set = set()
-        #: One asyncio.Event per prefix currently being built by a
-        #: leader request; followers wait on it instead of occupying a
-        #: worker slot with a duplicate build.
-        self._prefix_builds: Dict[tuple, asyncio.Event] = {}
 
     # -- metrics helpers -------------------------------------------------
 
@@ -193,7 +161,6 @@ class Scheduler:
         path); ``block=True`` waits for capacity (background sweeps).
         """
         key = point.cache_key()
-        steal = False
         while True:
             if self.closing:
                 raise Backpressure(retry_after=1.0)
@@ -207,22 +174,6 @@ class Scheduler:
                 self.metrics.counter("serve/coalesced").inc()
                 response = await asyncio.shield(shared)
                 return {**response, "provenance": "coalesced"}
-            gate = None if steal else self._affinity_gate(point)
-            if gate is not None:
-                # A leader is already building this point's prefix and
-                # no worker is idle: park here (costs one event, not a
-                # worker) and re-probe once the blob is published.  On
-                # timeout, steal the build — the blob store's lock
-                # still keeps the host to one build.
-                self.metrics.counter("serve/affinity_waits").inc()
-                try:
-                    await asyncio.wait_for(
-                        gate.wait(), self.affinity_wait_seconds
-                    )
-                except asyncio.TimeoutError:
-                    self.metrics.counter("serve/affinity_steals").inc()
-                    steal = True
-                continue
             if self.outstanding < self.queue_limit:
                 # No await between this check and the increment inside
                 # _execute, so the bound is never overshot.
@@ -235,49 +186,12 @@ class Scheduler:
             # Loop: re-probe the cache and in-flight table — a duplicate
             # may have finished while this submission waited for capacity.
 
-    def _prefix_of(self, point: SweepPoint) -> Optional[tuple]:
-        from repro.harness.sweep import prefix_key
-
-        return prefix_key(point)
-
-    def _affinity_gate(self, point: SweepPoint) -> Optional["asyncio.Event"]:
-        """The event a follower should wait on, or ``None`` to proceed.
-
-        ``None`` when affinity is off (``workers == 0``), the point has
-        no prefix, the prefix is already warm, nobody is building it
-        (this request becomes the leader inside :meth:`_execute`), or a
-        worker sits idle (work-stealing: better to occupy it — the
-        blob-store lock still deduplicates the build host-wide).
-        """
-        if self.workers < 1:
-            return None
-        pkey = self._prefix_of(point)
-        if pkey is None or pkey in self._warm_prefixes:
-            return None
-        gate = self._prefix_builds.get(pkey)
-        if gate is None:
-            return None
-        if self.outstanding < self.workers:
-            self.metrics.counter("serve/affinity_steals").inc()
-            return None
-        return gate
-
     async def _execute(self, point: SweepPoint, key: str) -> Dict[str, object]:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._inflight[key] = future
         self.outstanding += 1
         self._note_queue_depth()
-        # Claim prefix leadership: followers of a cold prefix park on
-        # this event in submit() instead of occupying workers.
-        pkey = self._prefix_of(point) if self.workers >= 1 else None
-        claimed = (
-            pkey is not None
-            and pkey not in self._warm_prefixes
-            and pkey not in self._prefix_builds
-        )
-        if claimed:
-            self._prefix_builds[pkey] = asyncio.Event()
         try:
             worker_response = await loop.run_in_executor(
                 self.executor, self.run_fn, point.to_dict()
@@ -292,24 +206,13 @@ class Scheduler:
             self._inflight.pop(key, None)
             self.outstanding -= 1
             self._note_queue_depth()
-            if claimed:
-                gate = self._prefix_builds.pop(pkey, None)
-                if gate is not None:
-                    gate.set()
             async with self._capacity:
                 self._capacity.notify_all()
         outcome = worker_response["outcome"]
         source = worker_response.get("source")
         if source:
             self.metrics.counter(f"serve/pool_{source}").inc()
-        if pkey is not None and source in ("fork", "blob", "cold"):
-            # The prefix is warm somewhere on the host now: in the
-            # worker's pool and (cold/blob paths) in the blob store.
-            self._warm_prefixes.add(pkey)
         pid = worker_response.get("pid")
-        pool = worker_response.get("pool")
-        if pid is not None and pool is not None:
-            self.pool_stats[pid] = pool
         blob = worker_response.get("blob_store")
         if pid is not None and blob is not None:
             self.blob_stats[pid] = blob

@@ -11,7 +11,7 @@ Routes (full schema in ``docs/SERVING.md``):
 
 - ``GET  /healthz``      — liveness + config echo
 - ``GET  /metrics``      — counters, latency quantiles, queue depth,
-  per-worker snapshot-pool stats
+  blob-store stats
 - ``POST /run``          — one point; waits for the result by default
 - ``POST /sweep``        — a batch (inline points or a grid spec);
   returns a job id immediately
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.engine.snapshot import BlobStore
 from repro.errors import ConfigurationError
 from repro.harness.sweep import ResultCache, SweepGrid, SweepPoint
 from repro.instrument.metrics import MetricsRegistry
@@ -55,14 +56,9 @@ class ServeConfig:
     port: int = 8731
     workers: int = 2
     executor: str = "process"  # "process" | "thread"
-    pool_bytes: int = worker.DEFAULT_POOL_BYTES
-    #: Byte budget of the host-shared blob store of serialized prefix
-    #: snapshots (0 disables cross-worker prefix sharing).
-    blob_bytes: int = worker.DEFAULT_BLOB_BYTES
-    #: Blob-store directory; ``None`` = a per-server temporary
-    #: directory, removed at shutdown.  Only used by the process
-    #: executor unless set explicitly (thread workers already share
-    #: one in-process pool).
+    #: Directory of the blob store the workers share setup prefixes
+    #: through; ``None`` = a per-server temporary directory, removed at
+    #: shutdown.
     blob_dir: Optional[Path] = None
     queue_limit: int = 256
     rate: float = 0.0  # tokens/second per client; <= 0 disables
@@ -80,14 +76,6 @@ class ServeConfig:
         if self.queue_limit < 1:
             raise ConfigurationError(
                 f"--queue-limit must be >= 1: {self.queue_limit}"
-            )
-        if self.pool_bytes < 0:
-            raise ConfigurationError(
-                f"--pool-bytes must be >= 0: {self.pool_bytes}"
-            )
-        if self.blob_bytes < 0:
-            raise ConfigurationError(
-                f"--blob-bytes must be >= 0: {self.blob_bytes}"
             )
         if self.rate > 0 and self.burst < 1:
             raise ConfigurationError(f"--burst must be >= 1: {self.burst}")
@@ -166,25 +154,22 @@ class ExperimentServer:
 
     async def start(self) -> None:
         config = self.config
-        blob_dir: Optional[str] = None
         if config.blob_dir is not None:
             blob_dir = str(config.blob_dir)
-        elif config.executor == "process" and config.blob_bytes > 0:
-            # Cross-worker prefix sharing needs a host directory; make
-            # a private one that dies with the server.  Thread workers
-            # already share one in-process pool, so they only get a
-            # store when one is named explicitly.
+        else:
+            # Prefix sharing needs a host directory; make a private one
+            # that dies with the server.
             self._blob_tmp = tempfile.TemporaryDirectory(prefix="repro-blobs-")
             blob_dir = self._blob_tmp.name
         if config.executor == "process":
             self._executor = ProcessPoolExecutor(
                 max_workers=config.workers,
                 initializer=worker.init_worker,
-                initargs=(config.pool_bytes, blob_dir, config.blob_bytes),
+                initargs=(blob_dir,),
             )
         else:
-            # Threads share one (thread-safe) pool in this process.
-            worker.init_worker(config.pool_bytes, blob_dir, config.blob_bytes)
+            # Threads share one store (its counters are thread-safe).
+            worker.init_worker(blob_dir)
             self._executor = ThreadPoolExecutor(max_workers=config.workers)
         self.scheduler = Scheduler(
             self._executor,
@@ -192,7 +177,6 @@ class ExperimentServer:
             self.cache,
             self.metrics,
             config.queue_limit,
-            workers=config.workers,
         )
         self._server = await asyncio.start_server(
             self._handle_connection, config.host, config.port
@@ -501,6 +485,16 @@ class ExperimentServer:
 
     # -- metrics ---------------------------------------------------------
 
+    def _pool_hit_rate(self) -> float:
+        """Blob hits over blob hits plus cold prefix builds."""
+
+        def count(name: str) -> int:
+            counter = self.metrics.counters.get(name)
+            return counter.value if counter is not None else 0
+
+        blobs, colds = count("serve/pool_blob"), count("serve/pool_cold")
+        return blobs / (blobs + colds) if blobs + colds else 0.0
+
     def metrics_payload(self) -> Dict[str, object]:
         """The ``/metrics`` JSON document."""
         registry = self.metrics
@@ -512,11 +506,6 @@ class ExperimentServer:
                 summary[f"p{int(q * 100)}"] = histogram.quantile(q)
             histograms[name] = summary
         scheduler = self.scheduler
-        pools = (
-            {str(pid): stats for pid, stats in sorted(scheduler.pool_stats.items())}
-            if scheduler is not None
-            else {}
-        )
         blob_stores = (
             {str(pid): stats for pid, stats in sorted(scheduler.blob_stats.items())}
             if scheduler is not None
@@ -538,15 +527,6 @@ class ExperimentServer:
             }
             for key in ("entries", "bytes", "builds_total", "builds_distinct"):
                 blob_store[key] = newest.get(key, 0)
-
-        def _count(name: str) -> int:
-            counter = registry.counters.get(name)
-            return counter.value if counter is not None else 0
-
-        forks = _count("serve/pool_fork")
-        blobs = _count("serve/pool_blob")
-        colds = _count("serve/pool_cold")
-        warm = forks + blobs
         return {
             "counters": {
                 name: registry.counters[name].value
@@ -557,10 +537,9 @@ class ExperimentServer:
                 for name in sorted(registry.gauges)
             },
             "histograms": histograms,
-            "pools": pools,
             "blob_stores": blob_stores,
             "blob_store": blob_store,
-            "pool_hit_rate": warm / (warm + colds) if warm + colds else 0.0,
+            "pool_hit_rate": self._pool_hit_rate(),
             "queue": {
                 "outstanding": scheduler.outstanding if scheduler else 0,
                 "limit": self.config.queue_limit,
@@ -619,13 +598,8 @@ class ExperimentServer:
             samples.append(("_count", histogram.count))
             emit(name, "summary", samples)
         scheduler = self.scheduler
-        forks = registry.counters.get("serve/pool_fork")
-        blobs = registry.counters.get("serve/pool_blob")
-        colds = registry.counters.get("serve/pool_cold")
-        warm = (forks.value if forks else 0) + (blobs.value if blobs else 0)
-        cold = colds.value if colds else 0
         derived = [
-            ("repro_serve_pool_hit_rate", warm / (warm + cold) if warm + cold else 0.0),
+            ("repro_serve_pool_hit_rate", self._pool_hit_rate()),
             ("repro_serve_queue_outstanding", scheduler.outstanding if scheduler else 0),
             ("repro_serve_queue_limit", self.config.queue_limit),
             ("repro_serve_http_active", self._active_requests),
@@ -670,8 +644,7 @@ def serve_forever(config: ServeConfig, announce=None) -> int:
         print(
             f"serving on http://{config.host}:{server.port} "
             f"({config.executor} x{config.workers}, "
-            f"pool {config.pool_bytes >> 20} MiB/worker, "
-            f"blob store {config.blob_bytes >> 20} MiB/host, "
+            f"blob store {BlobStore.DEFAULT_MAX_BYTES >> 20} MiB/host, "
             f"queue {config.queue_limit}, "
             f"cache {'on' if server.cache is not None else 'off'})",
             flush=True,

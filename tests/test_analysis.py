@@ -34,9 +34,12 @@ from repro.analysis.explain import (
     render_report,
 )
 from repro.analysis.opportunities import apply_discards, infer_discards
+from repro.engine.snapshot import EngineSnapshot
+from repro.harness.pipeline import build_prefix, plan_for, simulate
 from repro.harness.results import ExperimentResult
 from repro.harness.sweep import SweepPoint
 from repro.harness.tracerun import traced_run
+from repro.instrument.trace import TraceConfig, Tracer
 from repro.harness.validation import collect_conservation_problems
 from repro.workloads import replay as replay_module
 
@@ -58,7 +61,11 @@ def cold():
 
 @pytest.fixture(scope="module")
 def forked():
-    return traced_run(point(), via_fork=True)
+    """``traced_run`` with the measured body on a snapshot fork."""
+    plan = plan_for(point())
+    tracer = Tracer(TraceConfig())
+    result, runtime = simulate(plan, EngineSnapshot(build_prefix(plan)), tracer)
+    return result, tracer, runtime
 
 
 # ----------------------------------------------------------------------

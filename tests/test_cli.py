@@ -105,7 +105,7 @@ class TestServeParser:
         assert args.port == 8731
         assert args.workers == 2
         assert args.executor == "process"
-        assert args.pool_bytes == 256 * 1024 * 1024
+        assert args.blob_dir is None
         assert args.queue_limit == 256
         assert args.rate == 0.0
         assert args.no_cache is False
@@ -118,7 +118,7 @@ class TestServeParser:
                 "--port", "0",
                 "--workers", "5",
                 "--executor", "thread",
-                "--pool-bytes", "0",
+                "--blob-dir", "blobs",
                 "--queue-limit", "7",
                 "--rate", "3.5",
                 "--no-cache",
@@ -127,7 +127,7 @@ class TestServeParser:
         assert args.port == 0
         assert args.workers == 5
         assert args.executor == "thread"
-        assert args.pool_bytes == 0
+        assert args.blob_dir == "blobs"
         assert args.queue_limit == 7
         assert args.rate == 3.5
         assert args.no_cache is True
@@ -359,7 +359,7 @@ class TestExplain:
         assert args.experiment == "reduction"
         assert args.system == "UVM-opt"
         assert args.diff is None
-        assert not args.check and not args.json and not args.fork
+        assert not args.check and not args.json
 
     def test_needs_experiment_or_diff(self, capsys):
         assert main(["explain"]) == 2

@@ -27,7 +27,6 @@ from repro.fastmodel import (
 )
 from repro.fastmodel.validate import default_probe_points, validate
 from repro.harness.sweep import (
-    DL_BATCH_GRID,
     ResultCache,
     SweepPoint,
     execute_point,
@@ -45,17 +44,37 @@ def _fast(point: SweepPoint) -> SweepPoint:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("network", sorted(DL_BATCH_GRID))
-def test_anchor_prediction_is_exact_for_every_fig5_workload(network):
-    """At an anchor batch size the fast answer is the simulator's,
-    bit-for-bit, for each fig5 network."""
-    batch = DL_BATCH_GRID[network][0]
+def _family_id(family) -> str:
+    """``vgg16`` for a UvmDiscard family, ``vgg16-UVM-opt`` otherwise."""
+    workload = family.key["workload"].split(":")[-1]
+    system = family.key["system"]
+    return workload if system == "UvmDiscard" else f"{workload}-{system}"
+
+
+@pytest.mark.parametrize(
+    "family",
+    sorted(default_model().families.values(), key=_family_id),
+    ids=_family_id,
+)
+def test_anchor_prediction_is_exact_for_every_fig5_workload(family):
+    """Every committed calibration family — the fig5 networks and the
+    paper micros, on all three UVM systems — re-simulates its first
+    anchor byte for byte, and the fast answer there is that run.  So a
+    calibration cannot outlive the simulator that recorded it."""
+    key = family.key
+    anchor = family.anchors[0]
+    if key["workload"].startswith("dl:"):
+        axis = {"batch_size": int(anchor.x), "batches": key.get("batches")}
+    else:
+        axis = {"ratio": anchor.x}
     point = SweepPoint(
-        workload=f"dl:{network}", system="UvmDiscard", batch_size=batch
+        workload=key["workload"], system=key["system"], link=key["link"],
+        gpu=key["gpu"], scale=key["scale"], driver=key["driver"], **axis,
     )
     exact = execute_point(point)
     fast = execute_point(_fast(point))
     assert exact is not None and fast is not None
+    assert exact.to_dict() == anchor.result
     assert fast.to_dict() == exact.to_dict()
 
 

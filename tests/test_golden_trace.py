@@ -153,13 +153,18 @@ def test_trace_digest_identity(name):
     against each other, not a file, so a divergence always means the
     fork/repeat path changed simulation behaviour.
     """
+    from repro.engine.snapshot import EngineSnapshot
+    from repro.harness.pipeline import build_prefix, plan_for, simulate
     from repro.harness.tracerun import trace_point
+    from repro.instrument.trace import TraceConfig, Tracer
 
     point = GOLDEN_POINTS[name]
     result_cold, cold = trace_point(point)
     assert result_cold is not None, f"{point.label} unexpectedly hit OOM"
     _, repeat = trace_point(point)
-    _, forked = trace_point(point, via_fork=True)
+    plan = plan_for(point)
+    forked = Tracer(TraceConfig())
+    simulate(plan, EngineSnapshot(build_prefix(plan)), forked)
     assert cold.digest() == repeat.digest(), (
         f"{name}: repeated traced run produced a different trace_digest"
     )

@@ -2,16 +2,17 @@
 
 Four layers, bottom up:
 
-- unit — :class:`~repro.engine.snapshot.SnapshotPool` admit/fork/evict
-  accounting, token-bucket rate limiting, latency-histogram quantiles,
+- unit — token-bucket rate limiting, latency-histogram quantiles,
 - worker — :func:`~repro.serve.worker.execute_point_pooled` must return
-  byte-identical outcomes warm (fork), cold and unpooled, including OOM
+  byte-identical outcomes from a blob, cold and unpooled, including OOM
   and chaos points,
 - server — a real asyncio server on an ephemeral port, driven by the
   sync client from worker threads: dedup (disk cache + in-flight
   coalescing), backpressure 429s, per-client rate-limit 429s, the
   ``/sweep``/``/status`` job flow, malformed-request errors, metrics,
-  and graceful drain,
+  and graceful drain — the tests that need a request in flight hold
+  the simulation on an Event (:class:`HeldSimulations`) instead of
+  racing it with a sleep,
 - determinism — every served outcome equals a local
   :func:`~repro.harness.sweep.execute_point` run byte-for-byte (that
   function is exactly what ``python -m repro run`` executes).
@@ -29,8 +30,7 @@ import time
 
 import pytest
 
-from repro.engine.core import Environment
-from repro.engine.snapshot import EngineSnapshot, SnapshotPool
+from repro.engine.snapshot import BlobStore
 from repro.harness.sweep import (
     ResultCache,
     SweepPoint,
@@ -39,6 +39,7 @@ from repro.harness.sweep import (
     prefix_key,
 )
 from repro.instrument.metrics import Histogram
+from repro.serve import worker
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.scheduler import RateLimited, RateLimiter, TokenBucket
 from repro.serve.server import ExperimentServer, ServeConfig
@@ -55,89 +56,6 @@ def fir_point(system="UvmDiscard", ratio=2.0, **kwargs):
 
 def canonical(outcome):
     return json.dumps(outcome, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# snapshot pool
-# ----------------------------------------------------------------------
-
-
-class _Payload:
-    """A tiny quiescent stand-in for a runtime (deep-copyable)."""
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def snapshot_precheck(self):
-        pass
-
-
-class TestSnapshotPool:
-    def test_admit_fork_and_lru_eviction(self):
-        pool = SnapshotPool(max_bytes=100)
-        assert pool.admit(("a",), _Payload("a"), nbytes=40)
-        assert pool.admit(("b",), _Payload("b"), nbytes=40)
-        assert pool.fork(("a",)).tag == "a"  # touches a: b becomes LRU
-        assert pool.admit(("c",), _Payload("c"), nbytes=40)  # evicts b
-        assert pool.fork(("b",)) is None
-        assert pool.fork(("a",)).tag == "a"
-        assert pool.fork(("c",)).tag == "c"
-        stats = pool.stats()
-        assert stats["evicted"] == 1
-        assert stats["entries"] == 2
-        assert stats["bytes"] == 80 <= pool.max_bytes
-
-    def test_forks_are_independent_copies(self):
-        pool = SnapshotPool(max_bytes=100)
-        pool.admit(("k",), _Payload("orig"), nbytes=10)
-        first, second = pool.fork(("k",)), pool.fork(("k",))
-        first.tag = "mutated"
-        assert second.tag == "orig"
-        assert pool.fork(("k",)).tag == "orig"
-
-    def test_oversize_entry_is_refused(self):
-        pool = SnapshotPool(max_bytes=10)
-        assert not pool.admit(("big",), _Payload("big"), nbytes=11)
-        assert pool.stats()["rejected_oversize"] == 1
-        assert len(pool) == 0
-
-    def test_live_simulation_is_refused_not_raised(self):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(1.0)
-
-        env.process(proc())
-        pool = SnapshotPool(max_bytes=1 << 20)
-        assert not pool.admit(("live",), env)
-        assert pool.stats()["rejected_live"] == 1
-        assert pool.fork(("live",)) is None
-
-    def test_readmit_replaces_and_reaccounts(self):
-        pool = SnapshotPool(max_bytes=100)
-        pool.admit(("k",), _Payload("v1"), nbytes=60)
-        pool.admit(("k",), _Payload("v2"), nbytes=30)
-        assert pool.nbytes == 30
-        assert pool.fork(("k",)).tag == "v2"
-
-    def test_explicit_evict_and_clear(self):
-        pool = SnapshotPool(max_bytes=100)
-        pool.admit(("k",), _Payload("k"), nbytes=10)
-        assert pool.evict(("k",))
-        assert not pool.evict(("k",))
-        pool.admit(("j",), _Payload("j"), nbytes=10)
-        pool.clear()
-        assert len(pool) == 0 and pool.nbytes == 0
-
-    def test_accepts_prebuilt_snapshot_and_estimates_bytes(self):
-        pool = SnapshotPool(max_bytes=1 << 20)
-        snapshot = EngineSnapshot(_Payload("x"))
-        assert pool.admit(("k",), snapshot)
-        assert 0 < pool.nbytes <= pool.max_bytes
-
-    def test_zero_budget_pool_admits_nothing(self):
-        pool = SnapshotPool(max_bytes=0)
-        assert not pool.admit(("k",), _Payload("k"), nbytes=1)
 
 
 # ----------------------------------------------------------------------
@@ -193,29 +111,29 @@ class TestHistogramQuantile:
 
 
 class TestExecutePointPooled:
-    def test_cold_then_fork_byte_identical_to_execute_point(self):
-        pool = SnapshotPool(max_bytes=1 << 30)
+    def test_cold_then_fork_byte_identical_to_execute_point(self, tmp_path):
+        store = BlobStore(tmp_path)
         point = fir_point()
         reference = canonical(outcome_to_dict(execute_point(point)))
-        cold, cold_source = execute_point_pooled(point, pool)
-        warm, warm_source = execute_point_pooled(point, pool)
-        assert (cold_source, warm_source) == ("cold", "fork")
+        cold, cold_source = execute_point_pooled(point, store)
+        warm, warm_source = execute_point_pooled(point, store)
+        assert (cold_source, warm_source) == ("cold", "blob")
         assert canonical(cold) == reference
         assert canonical(warm) == reference
 
-    def test_sibling_point_forks_shared_prefix(self):
-        pool = SnapshotPool(max_bytes=1 << 30)
+    def test_sibling_point_forks_shared_prefix(self, tmp_path):
+        store = BlobStore(tmp_path)
         first = fir_point(system="UVM-opt", ratio=1.5)
         sibling = fir_point(system="UvmDiscard", ratio=3.0)
         assert prefix_key(first) == prefix_key(sibling)
-        _, source_first = execute_point_pooled(first, pool)
-        outcome, source_sibling = execute_point_pooled(sibling, pool)
-        assert (source_first, source_sibling) == ("cold", "fork")
+        _, source_first = execute_point_pooled(first, store)
+        outcome, source_sibling = execute_point_pooled(sibling, store)
+        assert (source_first, source_sibling) == ("cold", "blob")
         assert canonical(outcome) == canonical(
             outcome_to_dict(execute_point(sibling))
         )
 
-    def test_unpooled_paths(self):
+    def test_unpooled_paths(self, tmp_path):
         point = fir_point()
         outcome, source = execute_point_pooled(point, None)
         assert source == "unpooled"
@@ -223,42 +141,42 @@ class TestExecutePointPooled:
             outcome_to_dict(execute_point(point))
         )
         no_uvm = SweepPoint("fir", "No-UVM", ratio=0.9, scale=SCALE)
-        _, source = execute_point_pooled(no_uvm, SnapshotPool(1 << 30))
+        _, source = execute_point_pooled(no_uvm, BlobStore(tmp_path))
         assert source == "unpooled"
 
-    def test_oom_point_reports_oom(self):
-        pool = SnapshotPool(max_bytes=1 << 30)
+    def test_oom_point_reports_oom(self, tmp_path):
+        store = BlobStore(tmp_path)
         point = SweepPoint(
             "dl:vgg16", "No-UVM", batch_size=150, scale=SCALE
         )
-        outcome, source = execute_point_pooled(point, pool)
+        outcome, source = execute_point_pooled(point, store)
         assert outcome == {"status": "oom"}
         assert source == "unpooled"  # No-UVM has no prefix to share
 
-    def test_fork_does_not_inherit_the_builders_eviction_policy(self):
-        # A FIFO request builds the pooled prefix; the LRU request that
+    def test_fork_does_not_inherit_the_builders_eviction_policy(self, tmp_path):
+        # A FIFO request builds the shared prefix; the LRU request that
         # forks it must still evict LRU (1.71 GB here, not FIFO's 2.55).
-        pool = SnapshotPool(max_bytes=1 << 30)
+        store = BlobStore(tmp_path)
         lru = SweepPoint("dl:vgg16", "UVM-opt", batch_size=125, scale=SCALE)
         fifo = SweepPoint(
             "dl:vgg16", "UVM-opt", batch_size=125, scale=SCALE,
             driver={"eviction_policy": "fifo"},
         )
-        _, first = execute_point_pooled(fifo, pool)
-        outcome, second = execute_point_pooled(lru, pool)
-        assert (first, second) == ("cold", "fork")
+        _, first = execute_point_pooled(fifo, store)
+        outcome, second = execute_point_pooled(lru, store)
+        assert (first, second) == ("cold", "blob")
         assert canonical(outcome) == canonical(
             outcome_to_dict(execute_point(lru))
         )
 
-    def test_chaos_point_through_the_pool(self):
-        pool = SnapshotPool(max_bytes=1 << 30)
+    def test_chaos_point_through_the_pool(self, tmp_path):
+        store = BlobStore(tmp_path)
         chaos = {"seed": 3, "transfer_fault_interval": 40}
         point = fir_point(chaos=tuple(sorted(chaos.items())))
         reference = canonical(outcome_to_dict(execute_point(point)))
-        cold, _ = execute_point_pooled(point, pool)
-        warm, source = execute_point_pooled(point, pool)
-        assert source == "fork"
+        cold, _ = execute_point_pooled(point, store)
+        warm, source = execute_point_pooled(point, store)
+        assert source == "blob"
         assert canonical(cold) == reference
         assert canonical(warm) == reference
 
@@ -291,11 +209,18 @@ class RunningServer:
     def __exit__(self, *_exc):
         self.stop()
 
-    def stop(self):
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.server.request_shutdown)
+    def request_stop(self):
+        """Ask the server to drain and exit; returns without waiting."""
+        self._loop.call_soon_threadsafe(self.server.request_shutdown)
+
+    def join(self):
         self._thread.join(timeout=60)
         assert not self._thread.is_alive()
+
+    def stop(self):
+        if self._thread.is_alive():
+            self.request_stop()
+        self.join()
 
     def _main(self):
         asyncio.run(self._amain())
@@ -312,6 +237,40 @@ class RunningServer:
     @property
     def url(self):
         return f"http://127.0.0.1:{self.server.port}"
+
+
+class HeldSimulations:
+    """Hold every simulation in flight until the test releases it.
+
+    Wraps :func:`repro.serve.worker.run_point`, which
+    :meth:`ExperimentServer.start` looks up, so install it before the
+    :class:`RunningServer` starts.  ``started`` is set once a worker
+    enters a simulation; the simulation runs once ``release`` is set.
+    """
+
+    def __init__(self, monkeypatch):
+        self.started = threading.Event()
+        self.release = threading.Event()
+        run_point = worker.run_point
+
+        def held(point_dict):
+            self.started.set()
+            assert self.release.wait(60), "the test never released the run"
+            return run_point(point_dict)
+
+        monkeypatch.setattr(worker, "run_point", held)
+
+
+def wait_until(condition, what, timeout=60.0):
+    """Poll ``condition()`` until it holds; fail after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def counter(url, name):
+    return ServeClient(url).metrics()["counters"].get(name, 0)
 
 
 class TestServerEndToEnd:
@@ -333,9 +292,9 @@ class TestServerEndToEnd:
             assert duplicate["provenance"] == "cache"
             assert canonical(duplicate["outcome"]) == canonical(first["outcome"])
 
-            # A sibling system forks the warm fir prefix.
+            # A sibling system forks the fir prefix's published blob.
             sibling = client.run_point(fir_point(system="UVM-opt"))
-            assert (sibling["provenance"], sibling["source"]) == ("run", "fork")
+            assert (sibling["provenance"], sibling["source"]) == ("run", "blob")
 
             # Sweep -> job -> status.
             batch = [fir_point(ratio=r) for r in (1.5, 2.0, 3.0)]
@@ -356,7 +315,7 @@ class TestServerEndToEnd:
             counters = metrics["counters"]
             assert counters["serve/cache_hits"] >= 1
             assert counters["serve/pool_cold"] >= 1
-            assert counters["serve/pool_fork"] >= 1
+            assert counters["serve/pool_blob"] >= 1
             assert metrics["pool_hit_rate"] > 0
             assert metrics["histograms"]["serve/request_seconds"]["count"] >= 4
             assert "p50" in metrics["histograms"]["serve/request_seconds"]
@@ -383,10 +342,9 @@ class TestServerEndToEnd:
             assert status["total"] == 1
             assert status["outcomes"][0]["status"] == "ok"
 
-    def test_concurrent_duplicates_coalesce(self):
+    def test_concurrent_duplicates_coalesce(self, monkeypatch):
+        held = HeldSimulations(monkeypatch)
         with RunningServer(workers=2) as running:
-            # ~0.3s of simulation: long enough that the staggered
-            # duplicate reliably arrives while the first is in flight.
             point = SweepPoint("radix", "UvmDiscard", ratio=2.0, scale=0.125)
             responses, lock = [], threading.Lock()
 
@@ -397,9 +355,15 @@ class TestServerEndToEnd:
 
             first = threading.Thread(target=fire)
             first.start()
-            time.sleep(0.1)  # let the first request enter the executor
+            assert held.started.wait(60), "the first request never ran"
             second = threading.Thread(target=fire)
             second.start()
+            # Run the simulation only once the duplicate has parked on it.
+            wait_until(
+                lambda: counter(running.url, "serve/coalesced") == 1,
+                "the duplicate to coalesce",
+            )
+            held.release.set()
             first.join()
             second.join()
             provenances = sorted(r["provenance"] for r in responses)
@@ -411,7 +375,8 @@ class TestServerEndToEnd:
             metrics = ServeClient(running.url).metrics()
             assert metrics["counters"]["serve/simulated"] == 1
 
-    def test_queue_backpressure_answers_429_with_retry_after(self):
+    def test_queue_backpressure_answers_429_with_retry_after(self, monkeypatch):
+        held = HeldSimulations(monkeypatch)
         with RunningServer(workers=1, queue_limit=1) as running:
             statuses, lock = [], threading.Lock()
 
@@ -432,6 +397,13 @@ class TestServerEndToEnd:
             ]
             for thread in threads:
                 thread.start()
+            # The first point holds the only queue slot until a later
+            # one has been turned away.
+            wait_until(
+                lambda: counter(running.url, "serve/rejected_busy") >= 1,
+                "a request to be rejected",
+            )
+            held.release.set()
             for thread in threads:
                 thread.join()
             assert statuses.count(200) >= 1
@@ -539,7 +511,8 @@ class TestServerEndToEnd:
             assert connection_status == 400
             assert "error" in payload
 
-    def test_graceful_drain_finishes_inflight_work(self):
+    def test_graceful_drain_finishes_inflight_work(self, monkeypatch):
+        held = HeldSimulations(monkeypatch)
         with RunningServer(workers=1, drain_seconds=60.0) as running:
             responses, lock = [], threading.Lock()
 
@@ -551,8 +524,13 @@ class TestServerEndToEnd:
 
             worker_thread = threading.Thread(target=fire)
             worker_thread.start()
-            time.sleep(0.1)  # request is in flight
-            running.stop()  # graceful shutdown while simulating
+            assert held.started.wait(60), "the request never ran"
+            running.request_stop()  # graceful shutdown while simulating
+            wait_until(
+                lambda: running.server.scheduler.closing, "the drain to start"
+            )
+            held.release.set()
+            running.join()
             worker_thread.join(timeout=60)
             assert running.exit_code == 0
             assert len(responses) == 1
@@ -566,7 +544,7 @@ class TestServeConfigValidation:
             {"workers": 0},
             {"executor": "fibers"},
             {"queue_limit": 0},
-            {"pool_bytes": -1},
+            {"port": -1},
             {"rate": 5.0, "burst": 0.5},
             {"port": 70000},
         ],

@@ -14,10 +14,9 @@ Four layers, mirroring ``tests/test_snapshot_fork.py``:
 - **stores** — :class:`~repro.engine.snapshot.BlobStore` honours its
   byte budget with LRU eviction, refuses oversize blobs, counts every
   published build in ``builds.log``, and keeps builds single-flight
-  across claimants; :class:`~repro.engine.snapshot.SnapshotPool`
-  misses are single-flight across threads,
-- **end to end** — two worker pools sharing one store directory build
-  a prefix once and serve identical bytes; a multi-job
+  across claimants,
+- **end to end** — two stores opened on one directory (two workers)
+  build a prefix once and serve identical bytes; a multi-job
   :func:`~repro.harness.sweep.run_sweep` stays byte-identical to a
   serial one while building each distinct prefix exactly once.
 
@@ -42,7 +41,6 @@ from repro.engine.core import Environment, _PENDING
 from repro.engine.snapshot import (
     BlobStore,
     EngineSnapshot,
-    SnapshotPool,
     resolve_prefix_snapshot,
 )
 from repro.errors import SnapshotError
@@ -382,7 +380,7 @@ class TestBlobStore:
 
 
 # ----------------------------------------------------------------------
-# SnapshotPool single-flight
+# the resolve hierarchy + cross-worker sharing
 # ----------------------------------------------------------------------
 
 
@@ -394,102 +392,11 @@ class _Quiescent:
         return None
 
 
-class TestPoolSingleFlight:
-    def test_same_thread_re_miss_returns_none(self):
-        # The historical fork() contract: a single-threaded caller that
-        # never admits can re-miss forever without deadlocking (the
-        # property suite in test_serve_pool_property.py relies on it).
-        pool = SnapshotPool(1 << 20)
-        assert pool.lookup(("k",)) is None
-        assert pool.lookup(("k",)) is None
-        assert pool.fork(("k",)) is None
-        assert pool.misses == 3 and pool.coalesced == 0
-
-    def test_concurrent_miss_is_single_flight(self):
-        pool = SnapshotPool(1 << 20)
-        key = ("k",)
-        assert pool.lookup(key) is None  # this thread owns the build
-        results = []
-
-        def waiter():
-            results.append(pool.lookup(key))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.02)
-        assert not results  # parked on the in-flight build
-        assert pool.admit(key, EngineSnapshot(_Quiescent("x")))
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert isinstance(results[0], EngineSnapshot)
-        assert pool.misses == 1 and pool.hits == 1 and pool.coalesced == 1
-
-    def test_release_hands_claim_to_waiter(self):
-        pool = SnapshotPool(1 << 20)
-        key = ("k",)
-        assert pool.lookup(key) is None
-        results = []
-
-        def waiter():
-            results.append(pool.lookup(key))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.02)
-        pool.release(key)  # build failed: the waiter becomes the builder
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert results == [None]
-        assert pool.misses == 2
-
-    def test_wedged_builder_is_stolen_after_timeout(self):
-        pool = SnapshotPool(1 << 20, build_wait_seconds=0.05)
-        key = ("k",)
-        assert pool.lookup(key) is None  # owner never admits/releases
-        results = []
-
-        def waiter():
-            results.append(pool.lookup(key))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert results == [None]  # stole the build
-        assert pool.steals == 1
-
-    def test_admit_failure_still_releases_claim(self):
-        class _Live:
-            def snapshot_precheck(self):
-                raise SnapshotError("live")
-
-        pool = SnapshotPool(1 << 20)
-        key = ("k",)
-        assert pool.lookup(key) is None
-        results = []
-
-        def waiter():
-            results.append(pool.lookup(key))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.02)
-        assert not pool.admit(key, _Live())  # refused, but claim resolved
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert results == [None]
-        assert pool.rejected_live == 1
-
-
-# ----------------------------------------------------------------------
-# the resolve hierarchy + cross-worker sharing
-# ----------------------------------------------------------------------
-
-
 class TestResolveHierarchy:
     def test_pool_then_blob_then_build(self, tmp_path):
+        # The store answers before build() does, from any store opened
+        # on the same directory; without a store every resolve builds.
         store = BlobStore(tmp_path)
-        pool = SnapshotPool(1 << 20)
         key = ("k",)
         built = []
 
@@ -497,27 +404,26 @@ class TestResolveHierarchy:
             built.append(True)
             return _Quiescent("x")
 
-        snap1, origin1 = resolve_prefix_snapshot(key, build, pool, store)
+        snap1, origin1 = resolve_prefix_snapshot(key, build, store)
         assert origin1 == "built" and len(built) == 1
-        snap2, origin2 = resolve_prefix_snapshot(key, build, pool, store)
-        assert origin2 == "pool" and len(built) == 1
-        fresh_pool = SnapshotPool(1 << 20)
-        snap3, origin3 = resolve_prefix_snapshot(key, build, fresh_pool, store)
+        snap2, origin2 = resolve_prefix_snapshot(key, build, store)
+        assert origin2 == "blob" and len(built) == 1
+        snap3, origin3 = resolve_prefix_snapshot(key, build, BlobStore(tmp_path))
         assert origin3 == "blob" and len(built) == 1
         assert snap1.to_blob() == snap2.to_blob() == snap3.to_blob()
+        snap4, origin4 = resolve_prefix_snapshot(key, build)
+        assert origin4 == "built" and len(built) == 2
+        assert snap4.to_blob() == snap1.to_blob()
 
     def test_build_failure_resolves_all_claims(self, tmp_path):
         store = BlobStore(tmp_path)
-        pool = SnapshotPool(1 << 20)
         key = ("k",)
-        snapshot, origin = resolve_prefix_snapshot(
-            key, lambda: None, pool, store
-        )
+        snapshot, origin = resolve_prefix_snapshot(key, lambda: None, store)
         assert snapshot is None and origin is None
         assert not list(tmp_path.glob("*.lock"))
-        # Both layers accept a retry (no stranded claims).
+        # The store accepts a retry (no stranded claim).
         snapshot, origin = resolve_prefix_snapshot(
-            key, lambda: _Quiescent("x"), pool, store
+            key, lambda: _Quiescent("x"), store
         )
         assert origin == "built"
 
@@ -531,16 +437,15 @@ class TestResolveHierarchy:
             scale=0.03125,
             batches=4,
         )
-        store = BlobStore(tmp_path)
-        pool_a, pool_b = SnapshotPool(1 << 28), SnapshotPool(1 << 28)
-        cold, source_a = execute_point_pooled(point, pool_a, store)
+        store_a, store_b = BlobStore(tmp_path), BlobStore(tmp_path)
+        cold, source_a = execute_point_pooled(point, store_a)
         assert source_a == "cold"
-        warm, source_b = execute_point_pooled(point, pool_b, store)
+        warm, source_b = execute_point_pooled(point, store_b)
         assert source_b == "blob"  # cross-"worker" hit, no second build
-        again, source_a2 = execute_point_pooled(point, pool_a, store)
-        assert source_a2 == "fork"
+        again, source_a2 = execute_point_pooled(point, store_a)
+        assert source_a2 == "blob"
         assert cold == warm == again
-        assert store.stats()["builds_total"] == 1
+        assert store_a.stats()["builds_total"] == 1
 
     def test_multi_job_sweep_builds_each_prefix_once(self, tmp_path):
         points = [

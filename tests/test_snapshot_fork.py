@@ -189,6 +189,16 @@ class TestEngineSnapshot:
         with pytest.raises(SnapshotError):
             assert_quiescent(object())
 
+    def test_engine_snapshot_constructor_refuses_live_root(self):
+        class _Live:
+            """A fake mid-flight simulation: the precheck always refuses."""
+
+            def snapshot_precheck(self):
+                raise SnapshotError("live process frames on the event heap")
+
+        with pytest.raises(SnapshotError):
+            EngineSnapshot(_Live())
+
     def test_forks_are_independent(self):
         env = Environment()
 

@@ -22,7 +22,9 @@ import json
 
 import pytest
 
+from repro.engine.snapshot import EngineSnapshot
 from repro.errors import ConfigurationError
+from repro.harness.pipeline import build_prefix, plan_for, simulate
 from repro.harness.sweep import SweepPoint, execute_point
 from repro.harness.tracerun import trace_point
 from repro.instrument.trace import (
@@ -45,7 +47,11 @@ def cold():
 
 @pytest.fixture(scope="module")
 def forked():
-    return trace_point(POINT, via_fork=True)
+    """The measured body traced on a snapshot fork of the setup prefix."""
+    plan = plan_for(POINT)
+    tracer = Tracer(TraceConfig())
+    result, _ = simulate(plan, EngineSnapshot(build_prefix(plan)), tracer)
+    return result, tracer
 
 
 class TestForkDeterminism:
