@@ -9,9 +9,10 @@ Handles the parts §4/§5.4 define independently of eager-vs-lazy:
 - skipping blocks that are already discarded (idempotence),
 - per-call cost accounting, returned as a :class:`DiscardOutcome`.
 
-Subclasses implement :meth:`_discard_block` (the per-block state
-transition + cost) and :meth:`_batch_epilogue` (per-call costs such as the
-eager variant's TLB invalidation round-trips).
+Subclasses implement :meth:`_discard_blocks` (one driver call applying
+the batch's state transitions and adding their costs) and
+:meth:`_batch_epilogue` (per-call costs such as the eager variant's TLB
+invalidation round-trips).
 """
 
 from __future__ import annotations
@@ -90,9 +91,11 @@ class DiscardManager(abc.ABC):
     def discard(self, blocks: Iterable[VaBlock]) -> Generator:
         """Simulation process applying the directive to ``blocks``.
 
-        Returns a :class:`DiscardOutcome` (via the process return value).
+        ``blocks`` are distinct va_blocks.  Returns a
+        :class:`DiscardOutcome` (via the process return value).
         """
         blocks = list(blocks)
+        driver = self.driver
         # A concurrent eviction (oversubscription churn, or an injected
         # pressure spike / ECC retirement) may hold a target mid-flight —
         # popped from its queue with residency still set.  Take the
@@ -101,31 +104,31 @@ class DiscardManager(abc.ABC):
         # blocks are read-only here and are not locked, keeping the
         # idempotent re-discard wait-free.
         targets = [b for b in blocks if not b.discarded]
-        yield from self.driver.lock_blocks(targets)
-        tracer = self.driver.tracer
-        started = self.driver.env.now if tracer.enabled else 0.0
+        if not driver.try_lock_blocks(targets):
+            yield from driver.lock_blocks(targets)
+        tracer = driver.tracer
+        started = driver.env.now if tracer.enabled else 0.0
         try:
-            cost = self.driver.config.discard_command_overhead
-            discarded = 0
-            for block in targets:
-                if block.discarded:  # re-discarded while we waited
-                    continue
-                cost += self._discard_block(block)
-                discarded += 1
+            # Skip blocks re-discarded while this call waited.
+            live = [b for b in targets if not b.discarded]
+            cost = self._discard_blocks(
+                live, driver.config.discard_command_overhead
+            )
+            discarded = len(live)
             skipped = len(blocks) - discarded
             cost += self._batch_epilogue(blocks)
             self.calls += 1
             self.total_cost += cost
             if cost:
-                yield self.driver.env.timeout(cost)
+                yield driver.env.timeout(cost)
         finally:
-            self.driver.unlock_blocks(targets)
+            driver.unlock_blocks(targets)
         if tracer.enabled:
             tracer.span(
                 "driver/discard",
                 self.name,
                 started,
-                self.driver.env.now,
+                driver.env.now,
                 category="discard",
                 args={"requested": len(blocks), "discarded": discarded},
             )
@@ -165,8 +168,9 @@ class DiscardManager(abc.ABC):
     # -- subclass hooks -----------------------------------------------------
 
     @abc.abstractmethod
-    def _discard_block(self, block: VaBlock) -> float:
-        """Transition one live block to discarded; return the time cost."""
+    def _discard_blocks(self, blocks: Sequence[VaBlock], cost: float) -> float:
+        """Transition live ``blocks`` to discarded in one driver call;
+        return ``cost`` plus each block's time cost, added in order."""
 
     def _batch_epilogue(self, blocks: Sequence[VaBlock]) -> float:
         """Per-call cost applied after the per-block work (default none)."""

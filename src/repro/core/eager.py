@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence, Set
 
 from repro.core.discard import DiscardManager
-from repro.driver.va_block import VaBlock
+from repro.driver.va_block import CPU, VaBlock
 
 
 class UvmDiscard(DiscardManager):
@@ -27,8 +27,8 @@ class UvmDiscard(DiscardManager):
 
     name = "UvmDiscard"
 
-    def _discard_block(self, block: VaBlock) -> float:
-        return self.driver.discard_block_eager(block)
+    def _discard_blocks(self, blocks: Sequence[VaBlock], cost: float) -> float:
+        return self.driver.discard_blocks_eager(blocks, cost)
 
     def _batch_epilogue(self, blocks: Sequence[VaBlock]) -> float:
         """One TLB invalidation round-trip per GPU whose PTEs were cleared.
@@ -42,9 +42,10 @@ class UvmDiscard(DiscardManager):
         cost = 0.0
         invalidated: Set[str] = set()
         for block in blocks:
-            # After _discard_block ran, GPU-resident blocks sit in the
+            # After the transitions ran, GPU-resident blocks sit in the
             # discarded queue with their residency still recorded.
-            if block.on_gpu and block.residency not in invalidated:
-                invalidated.add(block.residency)  # type: ignore[arg-type]
-                cost += self.driver.gpu_page_table(block.residency).tlb_invalidate()  # type: ignore[arg-type]
+            res = block.residency
+            if res is not None and res != CPU and res not in invalidated:
+                invalidated.add(res)
+                cost += self.driver.gpu_page_table(res).tlb_invalidate()
         return cost

@@ -21,6 +21,8 @@ use with this implementation's performance.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.discard import DiscardManager
 from repro.driver.va_block import VaBlock
 
@@ -30,5 +32,5 @@ class UvmDiscardLazy(DiscardManager):
 
     name = "UvmDiscardLazy"
 
-    def _discard_block(self, block: VaBlock) -> float:
-        return self.driver.discard_block_lazy(block)
+    def _discard_blocks(self, blocks: Sequence[VaBlock], cost: float) -> float:
+        return self.driver.discard_blocks_lazy(blocks, cost)

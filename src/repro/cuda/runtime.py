@@ -279,8 +279,7 @@ class CudaRuntime:
         yield from self.driver.make_resident_cpu(
             blocks, TransferReason.FAULT_MIGRATION, charge_faults=True
         )
-        for block in blocks:
-            self.driver.note_access(block, mode)
+        self.driver.note_accesses(blocks, mode)
         nbytes = rng.length if rng is not None else buffer.nbytes
         yield self.env.timeout(nbytes / self.host.memory_bandwidth)
 

@@ -68,12 +68,12 @@ class UvmDriverConfig:
     #: matters for the backward pass's reverse-order re-reads).
     eviction_policy: str = "lru"
 
-    #: Back page tables with the NumPy bitmap-slab implementation
+    #: Back page tables with the bitmap-slab implementation
     #: (:class:`repro.vm.page_table.BitmapPageTable`) instead of the
     #: scalar set-based reference.  Both produce byte-identical costs and
-    #: counters; the bitmap is faster for bulk map/unmap and cheap to
-    #: serialize on snapshot fork.  Disabling selects the scalar reference
-    #: path (used by the differential property tests).
+    #: counters; the bitmap is faster to probe and cheap to serialize on
+    #: snapshot fork.  Disabling selects the scalar reference path (used
+    #: by the differential property tests).
     vectorized: bool = True
 
     #: Raise :class:`~repro.errors.DiscardSemanticsError` on UvmDiscardLazy

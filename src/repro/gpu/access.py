@@ -37,6 +37,9 @@ def _chunk(blocks: Sequence[VaBlock], num_waves: int) -> List[List[VaBlock]]:
     """Split into ``num_waves`` contiguous, near-equal chunks."""
     if num_waves < 1:
         raise ConfigurationError(f"num_waves must be >= 1, got {num_waves}")
+    if num_waves == 1:
+        # The whole list is the one wave; a list argument is not copied.
+        return [blocks if isinstance(blocks, list) else list(blocks)]
     n = len(blocks)
     if n == 0:
         return [[] for _ in range(num_waves)]

@@ -63,17 +63,19 @@ class GpuExecutor:
 
     def _build_waves(
         self, kernel: "KernelSpec"
-    ) -> List[List[Tuple[VaBlock, AccessMode]]]:
-        """Interleave every operand's access pattern into per-wave touch lists."""
-        waves: List[List[Tuple[VaBlock, AccessMode]]] = [
+    ) -> List[List[Tuple[AccessMode, List[VaBlock]]]]:
+        """Per wave, one ``(mode, blocks)`` group per operand, in access order."""
+        waves: List[List[Tuple[AccessMode, List[VaBlock]]]] = [
             [] for _ in range(kernel.waves)
         ]
         for buffer_access in kernel.accesses:
+            mode = buffer_access.mode
             per_access = buffer_access.pattern.waves(
                 buffer_access.blocks(), kernel.waves
             )
-            for i, wave_blocks in enumerate(per_access):
-                waves[i].extend((b, buffer_access.mode) for b in wave_blocks)
+            for wave, wave_blocks in zip(waves, per_access):
+                if wave_blocks:
+                    wave.append((mode, wave_blocks))
         return waves
 
     def run_kernel(self, kernel: "KernelSpec") -> Generator:
@@ -94,8 +96,8 @@ class GpuExecutor:
             compute_per_wave = compute_total / len(waves)
             # A fault is simply a missing GPU mapping (gpu_needs_fault);
             # bind the page-table probe once for the whole launch.
-            is_mapped = self.driver.gpu_page_table(self.gpu.name).is_mapped
-            note_access = self.driver.note_access
+            unmapped = self.driver.gpu_page_table(self.gpu.name).unmapped
+            note_accesses = self.driver.note_accesses
             chaos = self.driver.chaos
             restart = True
             while restart:
@@ -105,14 +107,12 @@ class GpuExecutor:
                     # with every miss the wave's warps produce, and the driver
                     # services them together.
                     missing: List[VaBlock] = []
-                    seen = set()
-                    for block, _mode in wave:
-                        index = block.index
-                        if index in seen:
-                            continue
-                        seen.add(index)
-                        if not is_mapped(index):
-                            missing.append(block)
+                    for _mode, blocks in wave:
+                        missing += unmapped(blocks)
+                    if missing:
+                        # A block touched twice faults once, in the order
+                        # of its first touch.
+                        missing = list(dict.fromkeys(missing))
                     if missing and self.remote_access:
                         yield from self._access_remotely(missing)
                     elif missing:
@@ -121,8 +121,8 @@ class GpuExecutor:
                             self.gpu.name, missing
                         )
                         self.fault_stall_seconds += self.env.now - stall_start
-                    for block, mode in wave:
-                        note_access(block, mode)
+                    for mode, blocks in wave:
+                        note_accesses(blocks, mode)
                     if compute_per_wave > 0:
                         yield self.env.timeout(compute_per_wave)
                     # Injected abort-and-retry: a transient execution fault

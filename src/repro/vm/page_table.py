@@ -17,12 +17,14 @@ Two interchangeable residency representations live here:
   byte per 2 MiB block at a sliding origin; byte-per-block measured
   faster than bit-packing because scalar lookups need no shift/mask
   arithmetic, and a byte per block is still ~30x denser than a set
-  entry) with the same scalar API plus NumPy-backed bulk
-  :meth:`~BitmapPageTable.map_blocks` / :meth:`~BitmapPageTable.unmap_blocks`
-  and a memcpy-cheap deepcopy, which is what makes engine snapshots fork
-  quickly.  Cost *accumulation order* in the bulk operations is the same
-  sequential per-block addition as the scalar loop, so simulated times
-  are bit-identical between the two implementations.
+  entry) with the same API and a memcpy-cheap deepcopy, which is what
+  makes engine snapshots fork quickly.
+
+Both tables map and unmap one block per call: the driver's batch paths
+interleave each block's CPU unmap, GPU map and zero-fill costs, so a
+batch adds its costs block by block in the same order either way.  The
+one batch query, :meth:`~BitmapPageTable.unmapped`, is the executor's
+fault probe over one kernel operand's wave.
 
 :func:`make_page_table` selects one from the driver config knob.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import Iterable, Optional, Set, Union
 
 import numpy as np
 
@@ -112,6 +114,11 @@ class PageTable:
     def is_mapped(self, block_index: int) -> bool:
         return block_index in self._mapped
 
+    def unmapped(self, blocks: Iterable) -> list:
+        """The va_blocks of ``blocks`` this table does not map, in order."""
+        mapped = self._mapped
+        return [block for block in blocks if block.index not in mapped]
+
     @property
     def mapped_blocks(self) -> int:
         return len(self._mapped)
@@ -157,31 +164,11 @@ class PageTable:
         self.tlb_invalidations += 1
         return self.costs.tlb_invalidate
 
-    def map_blocks(self, indices: "Sequence[int]") -> float:
-        """Map every index in ``indices``; returns the summed time cost."""
-        cost = 0.0
-        for index in indices:
-            cost += self.map_block(index)
-        return cost
-
-    def unmap_blocks(
-        self, indices: "Sequence[int]", invalidate_tlb: bool = True
-    ) -> float:
-        """Unmap every index in ``indices``; returns the summed time cost."""
-        cost = 0.0
-        for index in indices:
-            cost += self.unmap_block(index, invalidate_tlb)
-        return cost
-
     def reset_counters(self) -> None:
         self.map_count = 0
         self.unmap_count = 0
         self.tlb_invalidations = 0
 
-
-#: Bulk operations switch to NumPy above this many indices; below it a
-#: plain Python loop over the bitmap wins (array creation overhead).
-_VECTOR_THRESHOLD = 32
 
 #: Bitmap slabs grow in whole bytes; keep the origin byte-aligned.
 _SLAB_ALIGN = 8
@@ -200,8 +187,7 @@ class BitmapPageTable:
     A byte (not a bit) per block: scalar ``is_mapped``/``map_block`` are
     the hottest driver operations, and byte indexing needs no Python-level
     shift/mask arithmetic — measured faster than both bit-packing and the
-    set-based reference.  Bulk operations become plain NumPy fancy
-    indexing on the same buffer.
+    set-based reference.
     """
 
     __slots__ = (
@@ -253,7 +239,7 @@ class BitmapPageTable:
         self._limit = len(self._bits)
         return offset
 
-    # -- scalar API (same contract as PageTable) -------------------------
+    # -- API (same contract as PageTable) --------------------------------
 
     def state(self, block_index: int) -> PteState:
         if self.is_mapped(block_index):
@@ -265,6 +251,17 @@ class BitmapPageTable:
         # also covers the unanchored state.
         offset = block_index - self._origin
         return 0 <= offset < self._limit and self._bits[offset] != 0
+
+    def unmapped(self, blocks: Iterable) -> list:
+        """The va_blocks of ``blocks`` this table does not map, in order."""
+        bits = self._bits
+        origin = self._origin
+        limit = self._limit
+        return [
+            block
+            for block in blocks
+            if not (0 <= (offset := block.index - origin) < limit and bits[offset])
+        ]
 
     @property
     def mapped_blocks(self) -> int:
@@ -310,86 +307,6 @@ class BitmapPageTable:
         """Account one TLB invalidation; returns its time cost in seconds."""
         self.tlb_invalidations += 1
         return self.costs.tlb_invalidate
-
-    # -- bulk API --------------------------------------------------------
-
-    def map_blocks(self, indices: Sequence[int]) -> float:
-        """Map every index in ``indices``; returns the summed time cost.
-
-        Exactly equivalent to mapping one by one (same raise-on-mapped
-        semantics, same sequential cost accumulation) but the PTEs are
-        written in one vectorized pass for large batches.
-        """
-        n = len(indices)
-        if n == 0:
-            return 0.0
-        if n < _VECTOR_THRESHOLD:
-            cost = 0.0
-            for index in indices:
-                cost += self.map_block(index)
-            return cost
-        self._ensure(max(indices))
-        offsets = np.asarray(indices, dtype=np.int64) - self._origin
-        if offsets.min() < 0:
-            # A left-growth mixed into the batch: rare — take the loop.
-            cost = 0.0
-            for index in indices:
-                cost += self.map_block(index)
-            return cost
-        arr = np.frombuffer(self._bits, dtype=np.uint8)
-        if np.any(arr[offsets]) or np.unique(offsets).size != n:
-            # At least one index is already mapped (or duplicated inside
-            # the batch): replay scalar to raise on exactly the block the
-            # reference implementation would.
-            cost = 0.0
-            for index in indices:
-                cost += self.map_block(index)
-            return cost
-        arr[offsets] = 1
-        self._count += n
-        self.map_count += n
-        cost = 0.0
-        map_cost = self._map_cost
-        for _ in range(n):
-            cost += map_cost
-        return cost
-
-    def unmap_blocks(
-        self, indices: Sequence[int], invalidate_tlb: bool = True
-    ) -> float:
-        """Unmap every index in ``indices``; returns the summed time cost."""
-        n = len(indices)
-        if n == 0:
-            return 0.0
-        if n < _VECTOR_THRESHOLD or self._limit == 0:
-            cost = 0.0
-            for index in indices:
-                cost += self.unmap_block(index, invalidate_tlb)
-            return cost
-        offsets = np.asarray(indices, dtype=np.int64) - self._origin
-        if offsets.min() < 0 or offsets.max() >= self._limit:
-            cost = 0.0
-            for index in indices:
-                cost += self.unmap_block(index, invalidate_tlb)
-            return cost
-        arr = np.frombuffer(self._bits, dtype=np.uint8)
-        if not np.all(arr[offsets]) or np.unique(offsets).size != n:
-            cost = 0.0
-            for index in indices:
-                cost += self.unmap_block(index, invalidate_tlb)
-            return cost
-        arr[offsets] = 0
-        self._count -= n
-        self.unmap_count += n
-        if invalidate_tlb:
-            self.tlb_invalidations += n
-            per = self._unmap_tlb_cost
-        else:
-            per = self._unmap_cost
-        cost = 0.0
-        for _ in range(n):
-            cost += per
-        return cost
 
     def reset_counters(self) -> None:
         self.map_count = 0

@@ -169,3 +169,61 @@ class TestEagerVsLazyCost:
         cpu_cost = run(env, UvmDiscard(driver).discard(cpu_blocks)).time_cost
         # CPU PTE teardown is local; GPU teardown crosses the interconnect.
         assert cpu_cost < gpu_cost
+
+
+class TestNoDiscardedQueueCharges:
+    """With ``discarded_queue_enabled=False`` a discard of GPU-resident
+    blocks frees their frames at once.  Both variants then charge less
+    than the page-table work they count.  Pinned as strict xfails: the
+    fix changes the no-queue ablation's outputs, which the end-to-end
+    reference pins."""
+
+    def _discard_resident(self, manager_cls, queue):
+        env = Environment()
+        driver = UvmDriver(
+            env, pcie_gen4(), UvmDriverConfig(discarded_queue_enabled=queue)
+        )
+        driver.register_gpu("gpu0", 32 * MIB)
+        blocks = make_blocks(driver, 4)  # an 8 MiB buffer
+        gpu_populate(env, driver, blocks)
+        table = driver.gpu_page_table("gpu0")
+        unmaps, tlbs = table.unmap_count, table.tlb_invalidations
+        outcome = run(env, manager_cls(driver).discard(blocks))
+        return (
+            outcome.time_cost,
+            table.unmap_count - unmaps,
+            table.tlb_invalidations - tlbs,
+            table.costs,
+            driver.config,
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the TLB charge tests on_gpu after the transition has "
+        "already dropped the residency, so the cleared PTEs get no "
+        "shootdown",
+    )
+    def test_eager_charges_a_shootdown_for_cleared_ptes(self):
+        cost, unmaps, tlbs, _, _ = self._discard_resident(UvmDiscard, False)
+        queued_cost, _, queued_tlbs, _, _ = self._discard_resident(
+            UvmDiscard, True
+        )
+        assert unmaps == 4
+        assert tlbs == queued_tlbs == 1
+        assert cost == queued_cost
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the immediate reclaim unmaps with a TLB invalidation "
+        "per block but adds none of their time to the discard's cost",
+    )
+    def test_lazy_charges_the_unmaps_it_counts(self):
+        cost, unmaps, tlbs, costs, config = self._discard_resident(
+            UvmDiscardLazy, False
+        )
+        assert unmaps == 4 and tlbs == 4
+        expected = config.discard_command_overhead
+        for _ in range(4):
+            expected += config.lazy_dirty_clear_per_block
+        expected += unmaps * costs.unmap_block + tlbs * costs.tlb_invalidate
+        assert cost == pytest.approx(expected)

@@ -26,9 +26,9 @@ from repro.interconnect import pcie_gen4
 from repro.units import BIG_PAGE, MIB
 from repro.vm.page_table import MappingError, make_page_table
 
-# Indices span three regions so bulk ops cross the slab's sliding
-# origin: a dense low band, a distant band (forces re-anchoring and
-# left-padding), and a mid band.
+# Indices span three regions so ops cross the slab's sliding origin: a
+# dense low band, a distant band (forces re-anchoring and left-padding),
+# and a mid band.
 _INDEX_BANDS = st.one_of(
     st.integers(min_value=0, max_value=24),
     st.integers(min_value=9_990, max_value=10_014),
@@ -38,13 +38,10 @@ _INDEX_BANDS = st.one_of(
 _table_op = st.one_of(
     st.tuples(st.just("map"), _INDEX_BANDS),
     st.tuples(st.just("unmap"), _INDEX_BANDS),
+    st.tuples(st.just("unmap_no_tlb"), _INDEX_BANDS),
     st.tuples(
-        st.just("map_bulk"), st.lists(_INDEX_BANDS, min_size=1, max_size=80)
+        st.just("unmapped"), st.lists(_INDEX_BANDS, min_size=1, max_size=80)
     ),
-    st.tuples(
-        st.just("unmap_bulk"), st.lists(_INDEX_BANDS, min_size=1, max_size=80)
-    ),
-    st.tuples(st.just("unmap_bulk_no_tlb"), st.lists(_INDEX_BANDS, min_size=1, max_size=80)),
     st.tuples(st.just("fork"), st.none()),
 )
 
@@ -56,12 +53,11 @@ def _apply(table, name, arg):
             return ("ok", table.map_block(arg))
         if name == "unmap":
             return ("ok", table.unmap_block(arg))
-        if name == "map_bulk":
-            return ("ok", table.map_blocks(arg))
-        if name == "unmap_bulk":
-            return ("ok", table.unmap_blocks(arg))
-        if name == "unmap_bulk_no_tlb":
-            return ("ok", table.unmap_blocks(arg, invalidate_tlb=False))
+        if name == "unmap_no_tlb":
+            return ("ok", table.unmap_block(arg, invalidate_tlb=False))
+        if name == "unmapped":
+            blocks = [VaBlock(index, BIG_PAGE) for index in arg]
+            return ("ok", [block.index for block in table.unmapped(blocks)])
         raise AssertionError(name)
     except MappingError as exc:
         return ("err", type(exc).__name__, str(exc))
