@@ -18,8 +18,7 @@ class TestDataOracle:
     def test_plain_write_read_is_clean(self):
         oracle = DataOracle()
         block = make_block()
-        block.record_write()
-        oracle.record_write(0.0, block)
+        oracle.record_writes(0.0, [block])
         oracle.validate_read(1.0, block)
         assert oracle.events == []
 
@@ -27,10 +26,9 @@ class TestDataOracle:
         """§4.1: reads may return zeros or stale values — legal."""
         oracle = DataOracle()
         block = make_block()
-        block.record_write()
-        oracle.record_write(0.0, block)
+        oracle.record_writes(0.0, [block])
         block.mark_discarded(DiscardKind.EAGER)
-        oracle.record_discard(1.0, block)
+        oracle.record_discards(1.0, [block])
         oracle.validate_read(2.0, block)
         kinds = [e.kind for e in oracle.events]
         assert kinds == ["read_after_discard"]
@@ -39,8 +37,7 @@ class TestDataOracle:
     def test_lost_write_corrupts(self):
         oracle = DataOracle()
         block = make_block()
-        block.record_write()
-        oracle.record_write(0.0, block)
+        oracle.record_writes(0.0, [block])
         oracle.record_data_loss(1.0, block, "reclaimed after unnotified write")
         oracle.validate_read(2.0, block)
         assert oracle.corruption_count == 1
@@ -57,8 +54,7 @@ class TestDataOracle:
     def test_strict_mode_raises_on_corrupted_read(self):
         oracle = DataOracle(strict=True)
         block = make_block()
-        block.record_write()
-        oracle.record_write(0.0, block)
+        oracle.record_writes(0.0, [block])
         oracle.record_data_loss(1.0, block, "lost")
         with pytest.raises(DataCorruptionError):
             oracle.validate_read(2.0, block)
@@ -66,24 +62,57 @@ class TestDataOracle:
     def test_new_write_heals_corruption(self):
         oracle = DataOracle(strict=True)
         block = make_block()
-        block.record_write()
-        oracle.record_write(0.0, block)
+        oracle.record_writes(0.0, [block])
         oracle.record_data_loss(1.0, block, "lost")
-        block.record_write()
-        oracle.record_write(2.0, block)
+        oracle.record_writes(2.0, [block])
         oracle.validate_read(3.0, block)  # must not raise
         assert oracle.corrupted_read_count == 0
 
     def test_discard_waives_pending_corruption(self):
         oracle = DataOracle(strict=True)
         block = make_block()
-        block.record_write()
-        oracle.record_write(0.0, block)
+        oracle.record_writes(0.0, [block])
         oracle.record_data_loss(1.0, block, "lost")
         block.mark_discarded(DiscardKind.EAGER)
-        oracle.record_discard(2.0, block)
+        oracle.record_discards(2.0, [block])
         oracle.validate_read(3.0, block)  # legal: nothing guaranteed now
         assert oracle.corrupted_read_count == 0
+
+    def test_readwrite_batch_reads_before_each_write(self):
+        """A block touched twice in one read-modify-write batch reads,
+        writes, reads and writes: only the first read sees the lost data,
+        and the second write lands on the healed block."""
+        oracle = DataOracle()
+        block = make_block()
+        oracle.record_writes(0.0, [block])
+        oracle.record_data_loss(1.0, block, "lost")
+        oracle.record_writes(2.0, [block, block], reads=True)
+        assert [e.kind for e in oracle.events] == ["corruption", "corrupted_read"]
+        assert block.version == 3
+        assert oracle.corrupted_blocks == set()
+
+    def test_readwrite_batch_after_discard_flags_first_read_only(self):
+        oracle = DataOracle()
+        block = make_block()
+        oracle.record_discards(0.0, [block])
+        block.mark_discarded(DiscardKind.LAZY)
+        oracle.record_writes(1.0, [block, block], reads=True)
+        assert [e.kind for e in oracle.events] == ["read_after_discard"]
+        assert block.written_since_discard
+
+    def test_validate_reads_flags_only_discarded_or_corrupted(self):
+        oracle = DataOracle()
+        live, discarded, lost = make_block(0), make_block(1), make_block(2)
+        oracle.record_writes(0.0, [live, discarded, lost])
+        oracle.record_discards(1.0, [discarded])
+        discarded.mark_discarded(DiscardKind.EAGER)
+        oracle.record_data_loss(1.0, lost, "lost")
+        oracle.validate_reads(2.0, [live, discarded, lost, live])
+        assert [(e.block_index, e.kind) for e in oracle.events] == [
+            (2, "corruption"),
+            (1, "read_after_discard"),
+            (2, "corrupted_read"),
+        ]
 
 
 class TestDiscardAdvisor:

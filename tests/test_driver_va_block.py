@@ -107,6 +107,16 @@ class TestUsedQueue:
         queue.touch(blocks[0])  # refresh recency
         assert queue.pop_lru() is blocks[1]
 
+    def test_fifo_policy_keeps_insertion_order(self):
+        queue = UsedQueue("fifo")
+        blocks = [make_block(i) for i in range(3)]
+        queue.touch_all(blocks)
+        queue.touch_all([blocks[0], blocks[1]])  # no recency refresh
+        assert queue.pop_lru() is blocks[0]
+        queue.set_policy("lru")
+        queue.touch_all([blocks[1]])
+        assert queue.pop_lru() is blocks[2]
+
     def test_remove_and_discard(self):
         queue = UsedQueue()
         block = make_block(1)

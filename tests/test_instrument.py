@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.driver.va_block import VaBlock
 from repro.instrument import (
     Counters,
     RmtClassifier,
     TrafficRecorder,
     TransferReason,
 )
+from repro.instrument.rmt import FATE_DISCARDED, FATE_OVERWRITTEN, FATE_USEFUL
 from repro.interconnect import TransferDirection
+from repro.units import BIG_PAGE
 
 H2D = TransferDirection.HOST_TO_DEVICE
 D2H = TransferDirection.DEVICE_TO_HOST
@@ -63,6 +66,10 @@ class TestTrafficRecorder:
         assert traffic.records == []
 
 
+def _blocks(*indices):
+    return [VaBlock(index, BIG_PAGE) for index in indices]
+
+
 class TestRmtClassifier:
     def _transfer(self, rmt, block, nbytes=100):
         rmt.on_transfer(block, nbytes, H2D, TransferReason.FAULT_MIGRATION)
@@ -70,7 +77,7 @@ class TestRmtClassifier:
     def test_read_resolves_useful(self):
         rmt = RmtClassifier()
         self._transfer(rmt, 1)
-        rmt.on_read(1)
+        rmt.on_reads(_blocks(1))
         assert rmt.useful_bytes == 100
         assert rmt.redundant_bytes == 0
 
@@ -78,14 +85,14 @@ class TestRmtClassifier:
         """§3.1: transferred then overwritten before read = redundant."""
         rmt = RmtClassifier()
         self._transfer(rmt, 1)
-        rmt.on_overwrite(1)
+        rmt.on_overwrites(_blocks(1))
         assert rmt.redundant_bytes == 100
         assert rmt.useful_bytes == 0
 
     def test_discard_resolves_redundant(self):
         rmt = RmtClassifier()
         self._transfer(rmt, 1)
-        rmt.on_discard(1)
+        rmt.on_discards(_blocks(1))
         assert rmt.redundant_bytes == 100
 
     def test_chain_resolved_together(self):
@@ -93,15 +100,15 @@ class TestRmtClassifier:
         rmt = RmtClassifier()
         rmt.on_transfer(1, 100, D2H, TransferReason.EVICTION)
         rmt.on_transfer(1, 100, H2D, TransferReason.FAULT_MIGRATION)
-        rmt.on_overwrite(1)
+        rmt.on_overwrites(_blocks(1))
         assert rmt.redundant_bytes == 200
 
     def test_read_then_new_transfer_independent(self):
         rmt = RmtClassifier()
         self._transfer(rmt, 1)
-        rmt.on_read(1)
+        rmt.on_reads(_blocks(1))
         self._transfer(rmt, 1, nbytes=50)
-        rmt.on_discard(1)
+        rmt.on_discards(_blocks(1))
         assert rmt.useful_bytes == 100
         assert rmt.redundant_bytes == 50
 
@@ -116,24 +123,64 @@ class TestRmtClassifier:
 
     def test_events_for_untracked_blocks_ignored(self):
         rmt = RmtClassifier()
-        rmt.on_read(99)
-        rmt.on_overwrite(98)
-        rmt.on_discard(97)
+        rmt.on_reads(_blocks(99))
+        rmt.on_overwrites(_blocks(98))
+        rmt.on_discards(_blocks(97))
         assert rmt.classified_bytes == 0
 
     def test_redundant_fraction(self):
         rmt = RmtClassifier()
         assert rmt.redundant_fraction == 0.0
         self._transfer(rmt, 1)
-        rmt.on_read(1)
+        rmt.on_reads(_blocks(1))
         self._transfer(rmt, 2)
-        rmt.on_discard(2)
+        rmt.on_discards(_blocks(2))
         assert rmt.redundant_fraction == pytest.approx(0.5)
+
+    def test_batch_resolves_only_its_blocks(self):
+        """A batch resolves each listed block's chain once, repeats
+        included, and leaves every other block pending."""
+        rmt = RmtClassifier()
+        for block in (1, 2, 3):
+            self._transfer(rmt, block)
+        rmt.on_reads(_blocks(1, 3, 1))
+        assert rmt.useful_bytes == 200
+        assert rmt.pending_bytes == 100
+        rmt.on_overwrites(_blocks(3, 2, 2))
+        assert rmt.redundant_bytes == 100
+        assert rmt.pending_bytes == 0
+
+    def test_batch_with_nothing_pending_leaves_later_transfers_tracked(self):
+        rmt = RmtClassifier()
+        rmt.on_reads(_blocks(1, 2))
+        rmt.on_overwrites(_blocks(1))
+        rmt.on_discards(_blocks(2))
+        self._transfer(rmt, 1)
+        self._transfer(rmt, 2)
+        rmt.on_reads(_blocks(1))
+        rmt.on_discards(_blocks(2))
+        assert (rmt.useful_bytes, rmt.redundant_bytes) == (100, 100)
+
+    def test_batch_credits_record_fates(self):
+        """With records retained, each batch credits its own fate."""
+        rmt = RmtClassifier()
+        traffic = TrafficRecorder(keep_records=True)
+        record = traffic.record(0.0, H2D, 300, TransferReason.PREFETCH, 1, 3)
+        for index in (1, 2, 3):
+            rmt.on_transfer(index, 100, H2D, TransferReason.PREFETCH, record)
+        rmt.on_reads(_blocks(1))
+        rmt.on_overwrites(_blocks(2))
+        rmt.on_discards(_blocks(3))
+        assert rmt.fates_for(record) == {
+            FATE_USEFUL: 100,
+            FATE_OVERWRITTEN: 100,
+            FATE_DISCARDED: 100,
+        }
 
     @given(
         st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=5),
+                st.lists(st.integers(min_value=0, max_value=5), max_size=4),
                 st.sampled_from(["transfer", "read", "overwrite", "discard"]),
             ),
             max_size=100,
@@ -143,16 +190,21 @@ class TestRmtClassifier:
         """useful + redundant + pending == everything ever transferred."""
         rmt = RmtClassifier()
         transferred = 0
-        for block, action in events:
+        for indices, action in events:
             if action == "transfer":
-                rmt.on_transfer(block, 10, H2D, TransferReason.PREFETCH)
-                transferred += 10
+                for index in indices:
+                    rmt.on_transfer(index, 10, H2D, TransferReason.PREFETCH)
+                    transferred += 10
             elif action == "read":
-                rmt.on_read(block)
+                rmt.on_reads(_blocks(*indices))
             elif action == "overwrite":
-                rmt.on_overwrite(block)
+                rmt.on_overwrites(_blocks(*indices))
             else:
-                rmt.on_discard(block)
+                rmt.on_discards(_blocks(*indices))
+            assert (
+                rmt.useful_bytes + rmt.redundant_bytes + rmt.pending_bytes
+                == transferred
+            )
         rmt.finalize()
         assert rmt.useful_bytes + rmt.redundant_bytes == transferred
 

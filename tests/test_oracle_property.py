@@ -14,7 +14,7 @@ from repro.driver.va_block import DiscardKind, VaBlock
 from repro.units import BIG_PAGE
 
 EVENTS = st.lists(
-    st.sampled_from(["write", "discard", "loss", "read"]),
+    st.sampled_from(["write", "rmw", "discard", "loss", "read"]),
     min_size=1,
     max_size=60,
 )
@@ -30,14 +30,16 @@ def test_oracle_matches_reference_model(events):
     expected_corrupted_reads = 0
 
     for time, event in enumerate(events):
-        if event == "write":
-            block.record_write()
-            oracle.record_write(float(time), block)
+        if event in ("write", "rmw"):
+            # A read-modify-write reads first: a lost write shows there.
+            oracle.record_writes(float(time), [block], reads=event == "rmw")
+            if event == "rmw" and lost:
+                expected_corrupted_reads += 1
             guaranteed_write = True
             lost = False
         elif event == "discard":
             block.mark_discarded(DiscardKind.LAZY)
-            oracle.record_discard(float(time), block)
+            oracle.record_discards(float(time), [block])
             guaranteed_write = False
             lost = False
         elif event == "loss":
@@ -49,7 +51,7 @@ def test_oracle_matches_reference_model(events):
             block.revive()
             block.populated = False
         else:  # read
-            oracle.validate_read(float(time), block)
+            oracle.validate_reads(float(time), [block])
             if lost:
                 expected_corrupted_reads += 1
 
@@ -63,12 +65,11 @@ def test_correct_programs_never_flag(events):
     oracle = DataOracle(strict=True)
     block = VaBlock(9, BIG_PAGE)
     for time, event in enumerate(events):
-        if event == "write":
-            block.record_write()
-            oracle.record_write(float(time), block)
+        if event in ("write", "rmw"):
+            oracle.record_writes(float(time), [block], reads=event == "rmw")
         elif event == "discard":
             block.mark_discarded(DiscardKind.EAGER)
-            oracle.record_discard(float(time), block)
+            oracle.record_discards(float(time), [block])
         elif event == "read":
-            oracle.validate_read(float(time), block)  # never raises
+            oracle.validate_reads(float(time), [block])  # never raises
     assert oracle.corruption_count == 0
