@@ -60,6 +60,9 @@ GOLDEN_POINTS = {
 #: excluded only because its traced run is disproportionately slow).
 TRACED_POINTS = sorted(name for name in GOLDEN_POINTS if "dl_" not in name)
 
+#: ``Tracer.digest()`` of each cold traced run in :data:`TRACED_POINTS`.
+TRACED_DIGESTS = GOLDEN_DIR / "traced_digests.json"
+
 
 def _flatten(result_dict):
     """One flat {key: value} map: counters are inlined as counters.<k>."""
@@ -143,15 +146,21 @@ def test_golden_trace_invariant_to_snapshot_forking(name):
 
 
 @pytest.mark.parametrize("name", TRACED_POINTS)
-def test_trace_digest_identity(name):
+def test_trace_digest_identity(name, update_golden):
     """Cold, repeated and snapshot-forked traced runs are byte-identical.
 
     Every golden micro point is traced three ways — cold, cold again
     (determinism), and with the measured body on a snapshot fork of the
     setup prefix — and all three must produce the same ``trace_digest``.
-    There is no --update-golden escape hatch: the digests are compared
-    against each other, not a file, so a divergence always means the
-    fork/repeat path changed simulation behaviour.
+    There is no --update-golden escape hatch for that three-way check:
+    a divergence always means the fork/repeat path changed simulation
+    behaviour.
+
+    The cold digest must also equal the one committed in
+    ``tests/golden/traced_digests.json``, which pins every traced span
+    (evictions, discards, DMA commands, program records) across
+    versions; ``--update-golden`` rewrites that entry for an intended
+    change.
     """
     from repro.engine.snapshot import EngineSnapshot
     from repro.harness.pipeline import build_prefix, plan_for, simulate
@@ -171,4 +180,17 @@ def test_trace_digest_identity(name):
     assert cold.digest() == forked.digest(), (
         f"{name}: snapshot-forked traced run produced a different "
         "trace_digest"
+    )
+    committed = (
+        json.loads(TRACED_DIGESTS.read_text()) if TRACED_DIGESTS.exists() else {}
+    )
+    if update_golden:
+        committed[name] = cold.digest()
+        TRACED_DIGESTS.write_text(
+            json.dumps(committed, indent=2, sort_keys=True) + "\n"
+        )
+    assert committed.get(name) == cold.digest(), (
+        f"{name}: traced run drifted from tests/golden/traced_digests.json; "
+        "if the change is intentional, rerun with --update-golden and "
+        "commit the new digest"
     )
