@@ -8,7 +8,7 @@ Three entry points behind the CLI command:
   (optionally) replay the trace with those discards applied to price
   them in bytes.
 - :func:`check_discard_inference` — the acceptance harness: trace a
-  UVM-opt baseline, trace the same point under a hand-discard system,
+  UVM-opt baseline, run the same point under a hand-discard system,
   infer discards on the baseline trace, replay, and demand the
   *detected* per-direction byte savings equal the *measured* ones
   exactly.
@@ -48,15 +48,20 @@ def _with_records(point):
 
 
 def _traced_with_records(point):
+    """Trace ``point`` with transfer records kept.  No report field reads
+    the engine-occupancy samples, so the metrics sampler stays off."""
     from repro.harness.tracerun import traced_run
+    from repro.instrument.trace import TraceConfig
 
-    return traced_run(_with_records(point))
+    return traced_run(_with_records(point), TraceConfig(metrics_cadence=0))
 
 
 def _replay_trace_of(tracer):
-    from repro.workloads.replay import chrome_trace_to_replay
+    """The run's replay trace, read straight from the tracer's program
+    records: no Chrome export and no trace digest."""
+    from repro.workloads.replay import tracer_to_replay
 
-    return chrome_trace_to_replay(tracer.to_chrome_trace())
+    return tracer_to_replay(tracer)
 
 
 def _totals(runtime) -> Dict[str, int]:
@@ -130,19 +135,22 @@ def check_discard_inference(
     """Verify inferred discards against the hand-placed ones, byte for byte.
 
     ``base_point`` must be the UVM-opt (discard-free) flavor of
-    ``hand_point``.  Both are traced; discards are inferred from the
-    baseline's op stream and replayed; the check passes when detected
+    ``hand_point``.  The baseline is traced; discards are inferred from
+    its op stream and replayed; the hand-discard point only contributes
+    its totals, so it runs untraced.  The check passes when detected
     savings equal measured savings per direction::
 
         base - replay(infer(base))  ==  base - hand     (h2d and d2h)
     """
+    from repro.harness.pipeline import plan_for, simulate
+    from repro.workloads.replay import run_replay
+
     base_result, base_tracer, base_runtime = _traced_with_records(base_point)
     if base_runtime is None or base_result is None:
         raise RuntimeError(f"{base_point.label}: baseline run OOMed")
-    hand_result, _, hand_runtime = _traced_with_records(hand_point)
+    hand_result, hand_runtime = simulate(plan_for(hand_point))
     if hand_runtime is None or hand_result is None:
         raise RuntimeError(f"{hand_point.label}: hand-discard run OOMed")
-    from repro.workloads.replay import run_replay
 
     base_trace = _replay_trace_of(base_tracer)
     opportunities = infer_discards(base_trace, system)

@@ -625,6 +625,26 @@ class UvmDriver:
             f"device capacity ({g.allocator.capacity_frames} frames)"
         )
 
+    def _trace_eviction(
+        self, g: _GpuState, name: str, started: float, block: VaBlock
+    ) -> None:
+        """Record one frame reclaim as an eviction span (tracer enabled):
+        ``reclaim_discarded`` is transfer-free, ``evict_used`` is not."""
+        tracer = self.tracer
+        now = self.env.now
+        tracer.span(
+            f"{g.name}/evict",
+            name,
+            started,
+            now,
+            category="eviction",
+            args={
+                "block": block.index,
+                "transfer_free": name == "reclaim_discarded",
+            },
+        )
+        tracer.observe("eviction_seconds", now - started)
+
     def _reclaim_discarded(self, g: _GpuState, block: VaBlock) -> Generator:
         """Reclaim a discarded block's frame without any transfer (§5.3/§5.6)."""
         tracer = self.tracer
@@ -633,16 +653,7 @@ class UvmDriver:
         if cost:
             yield self.env.timeout(cost)
         if tracer.enabled:
-            now = self.env.now
-            tracer.span(
-                f"{g.name}/evict",
-                "reclaim_discarded",
-                started,
-                now,
-                category="eviction",
-                args={"block": block.index, "transfer_free": True},
-            )
-            tracer.observe("eviction_seconds", now - started)
+            self._trace_eviction(g, "reclaim_discarded", started, block)
 
     def _reclaim_discarded_block(self, g: _GpuState, block: VaBlock) -> float:
         """The state transition of :meth:`_reclaim_discarded`; returns
@@ -699,16 +710,7 @@ class UvmDriver:
             g.allocator.free(frame)
         self.counters.bump(Counters.EVICTED_BLOCKS)
         if tracer.enabled:
-            now = self.env.now
-            tracer.span(
-                f"{g.name}/evict",
-                "evict_used",
-                started,
-                now,
-                category="eviction",
-                args={"block": block.index, "transfer_free": False},
-            )
-            tracer.observe("eviction_seconds", now - started)
+            self._trace_eviction(g, "evict_used", started, block)
 
     # ------------------------------------------------------------------
     # mapping helpers
@@ -948,13 +950,11 @@ class UvmDriver:
             # frames; flattening it is the single biggest host-side win on
             # the fault path.  Every branch below mirrors that chain
             # exactly (same timeouts, same ordering of counter/traffic side
-            # effects); anything off the fast case falls back to the
-            # original generators.
-            fast_evict = (
-                self.chaos is None
-                and not tracer.enabled
-                and migration.link._armed_faults == 0
-            )
+            # effects, and on a traced run the same eviction and wire
+            # spans).  A contended victim, a chaos storm or an armed link
+            # fault falls back to the original generators.
+            fast_evict = self.chaos is None and migration.link._armed_faults == 0
+            traced = tracer.enabled
             # Loop-invariant attribute chains, hoisted: in the evicting
             # steady state every one of these is read once per block.
             timeout = env.timeout
@@ -983,9 +983,14 @@ class UvmDriver:
                         else:
                             inflight[index] = None
                             try:
+                                started = env.now if traced else 0.0
                                 cost = self._reclaim_discarded_block(g, victim)
                                 if cost:
                                     yield timeout(cost)
+                                if traced:
+                                    self._trace_eviction(
+                                        g, "reclaim_discarded", started, victim
+                                    )
                             finally:
                                 event = inflight.pop(index, _MISSING)
                                 if event is not None and event is not _MISSING:
@@ -998,6 +1003,7 @@ class UvmDriver:
                         else:
                             inflight[index] = None
                             try:
+                                started = env.now if traced else 0.0
                                 cost = page_table.unmap_block(index)
                                 if victim.populated and not victim.discarded:
                                     yield timeout(cost)
@@ -1016,11 +1022,21 @@ class UvmDriver:
                                                 else BIG_PAGE
                                             )
                                         )
+                                        wire_started = env.now if traced else 0.0
                                         yield timeout(
                                             link.transfer_time(
                                                 span_bytes, chunk=chunk
                                             )
                                         )
+                                        if traced:
+                                            migration.trace_command(
+                                                f"link/{d2h.value}",
+                                                evict_reason.value,
+                                                wire_started,
+                                                span_bytes,
+                                                index,
+                                                1,
+                                            )
                                         rec = traffic.record(
                                             env.now,
                                             d2h,
@@ -1050,6 +1066,10 @@ class UvmDriver:
                                 if vframe is not None:
                                     allocator.free(vframe)
                                 counters.bump(evicted_counter)
+                                if traced:
+                                    self._trace_eviction(
+                                        g, "evict_used", started, victim
+                                    )
                             finally:
                                 event = inflight.pop(index, _MISSING)
                                 if event is not None and event is not _MISSING:

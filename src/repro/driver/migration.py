@@ -150,7 +150,7 @@ class MigrationEngine:
             yield self.env.timeout(self.retry_backoff * attempts)
         yield self.env.timeout(link.transfer_time(nbytes, chunk=chunk))
 
-    def _trace_command(
+    def trace_command(
         self,
         track: str,
         name: str,
@@ -159,7 +159,10 @@ class MigrationEngine:
         first_block: Optional[int],
         num_blocks: int,
     ) -> None:
-        """Record one DMA command as a migration span (tracer enabled)."""
+        """Record one DMA command as a migration span (tracer enabled).
+
+        The driver's inline eviction records its writebacks through this
+        too, so every wire span has one format."""
         tracer = self.tracer
         args = {"bytes": span_bytes, "blocks": num_blocks}
         if first_block is not None:
@@ -245,7 +248,7 @@ class MigrationEngine:
                         link.transfer_time(span_bytes, chunk=chunk)
                     )
                 if tracer.enabled:
-                    self._trace_command(
+                    self.trace_command(
                         f"link/{direction.value}",
                         reason.value,
                         started,
@@ -305,7 +308,7 @@ class MigrationEngine:
                 started = env.now if tracer.enabled else 0.0
                 yield from self._timed_command(p2p_link, span_bytes, BIG_PAGE)
                 if tracer.enabled:
-                    self._trace_command(
+                    self.trace_command(
                         "link/p2p",
                         TransferReason.FAULT_MIGRATION.value,
                         started,
@@ -359,7 +362,7 @@ class MigrationEngine:
         finally:
             engine.release(request)
         if tracer.enabled:
-            self._trace_command(
+            self.trace_command(
                 f"link/{direction.value}", reason.value, started, nbytes, None, 0
             )
         self.traffic.record(self.env.now, direction, nbytes, reason)

@@ -1,13 +1,19 @@
 """Access-trace replay: run an external memory-access trace as a workload.
 
-This module is the PR 5 Chrome-trace export *in reverse*.  ``repro
-trace`` records every host-visible CUDA API call on a dedicated
-``program`` track (category ``program``); :func:`chrome_trace_to_replay`
-lifts those records into a standalone **replay trace** — a small,
-documented JSON/CSV document — and :class:`ReplayWorkload` re-enqueues
-the recorded operations against a fresh simulator, reproducing the
-original run's migration behavior byte for byte
-(``tests/test_replay.py`` pins ``bytes_h2d``/``bytes_d2h`` equality).
+This module is the tracer's record stream *in reverse*.  A traced run
+records every host-visible CUDA API call on a dedicated ``program``
+track (category ``program``).  One converter lifts those records into a
+standalone **replay trace** — a small, documented JSON/CSV document —
+and :class:`ReplayWorkload` re-enqueues the recorded operations against
+a fresh simulator, reproducing the original run's migration behavior
+byte for byte (``tests/test_replay.py`` pins ``bytes_h2d``/``bytes_d2h``
+equality).
+
+The converter has two front ends that yield the same trace:
+:func:`tracer_to_replay` reads a live :class:`~repro.instrument.trace.Tracer`
+(what ``repro explain`` uses, with no export in between), and
+:func:`chrome_trace_to_replay` reads a ``repro trace`` Chrome export
+(what ``repro replay`` loads from disk).
 
 Replay trace schema (version 1)
 -------------------------------
@@ -119,6 +125,7 @@ __all__ = [
     "ReplayTrace",
     "ReplayWorkload",
     "chrome_trace_to_replay",
+    "tracer_to_replay",
     "replay_trace_to_csv",
     "replay_trace_from_csv",
     "load_replay_trace",
@@ -434,37 +441,29 @@ class ReplayTrace:
 # ----------------------------------------------------------------------
 
 
-def chrome_trace_to_replay(chrome: Dict[str, Any]) -> ReplayTrace:
-    """Derive a replay trace from a ``repro trace`` Chrome export.
+#: One program-channel record as the converter takes it:
+#: ``(record id, name, simulated seconds, args)``.
+_ProgramRecord = Tuple[int, str, float, Dict[str, Any]]
 
-    The export must contain the ``program`` channel (category
-    ``program``) that :func:`repro.harness.tracerun.trace_point`
-    records; traces truncated by ``max_records`` are rejected because a
-    partial op stream cannot reproduce the run.
+
+def _program_to_replay(
+    records: List[_ProgramRecord], dropped: int, where: str, hint: str
+) -> ReplayTrace:
+    """Lift program-channel records, in record order, into a replay trace.
+
+    Both front ends hand over records whose ``args`` are their own
+    copies; the converter pops fields from them.  ``where`` names the
+    front end in errors and ``hint`` says how to get program records.
     """
-    if not isinstance(chrome, dict) or "traceEvents" not in chrome:
-        _fail("chrome export", "not a Chrome trace (no traceEvents)")
-    dropped = chrome.get("otherData", {}).get("dropped_records", 0)
     if dropped:
-        _fail("chrome export", f"{dropped} records were dropped (max_records "
-                               "truncation); replay needs the full op stream")
-    program = [
-        event
-        for event in chrome["traceEvents"]
-        if event.get("cat") == "program" and event.get("ph") == "i"
-    ]
-    if not program:
-        _fail("chrome export", "no program-channel records; re-export the "
-                               "trace with `repro trace` (PR 9 or later)")
-    program.sort(key=lambda event: event["args"]["id"])
+        _fail(where, f"{dropped} records were dropped (max_records "
+                     "truncation); replay needs the full op stream")
+    if not records:
+        _fail(where, f"no program-channel records; {hint}")
     meta: Dict[str, Any] = {}
     buffers: List[Dict[str, Any]] = []
     ops: List[Dict[str, Any]] = []
-    for event in program:
-        args = dict(event.get("args") or {})
-        record_id = args.pop("id")
-        name = event.get("name")
-        when = event.get("ts", 0.0) / 1e6
+    for record_id, name, when, args in records:
         if name == "experiment":
             meta.update(args)
         elif name == "buffer":
@@ -488,9 +487,57 @@ def chrome_trace_to_replay(chrome: Dict[str, Any]) -> ReplayTrace:
             op.update(args)
             ops.append(op)
     if not meta:
-        _fail("chrome export", "program channel has no experiment record")
+        _fail(where, "program channel has no experiment record")
     return ReplayTrace(
         {"version": SCHEMA_VERSION, "meta": meta, "buffers": buffers, "ops": ops}
+    )
+
+
+def chrome_trace_to_replay(chrome: Dict[str, Any]) -> ReplayTrace:
+    """Derive a replay trace from a ``repro trace`` Chrome export.
+
+    The export must contain the ``program`` channel (category
+    ``program``) that :func:`repro.harness.tracerun.trace_point`
+    records; traces truncated by ``max_records`` are rejected because a
+    partial op stream cannot reproduce the run.
+    """
+    if not isinstance(chrome, dict) or "traceEvents" not in chrome:
+        _fail("chrome export", "not a Chrome trace (no traceEvents)")
+    records: List[_ProgramRecord] = []
+    for event in chrome["traceEvents"]:
+        if event.get("cat") == "program" and event.get("ph") == "i":
+            args = dict(event.get("args") or {})
+            record_id = args.pop("id")
+            records.append(
+                (record_id, event.get("name"), event.get("ts", 0.0) / 1e6, args)
+            )
+    records.sort(key=lambda record: record[0])
+    return _program_to_replay(
+        records,
+        chrome.get("otherData", {}).get("dropped_records", 0),
+        "chrome export",
+        "re-export the trace with `repro trace`",
+    )
+
+
+def tracer_to_replay(tracer) -> ReplayTrace:
+    """Derive a replay trace straight from a tracer's program records.
+
+    The same trace as ``chrome_trace_to_replay(tracer.to_chrome_trace())``
+    without building the Chrome dict or hashing the timeline; an op's
+    ``t`` is the record's simulated seconds rather than ``ts / 1e6``.
+    The tracer's records are left untouched.
+    """
+    records: List[_ProgramRecord] = [
+        (record_id, record[2], record[4], dict(record[5] or {}))
+        for record_id, record in enumerate(tracer.events)
+        if record[0] == "i" and record[3] == "program"
+    ]
+    return _program_to_replay(
+        records,
+        tracer.dropped,
+        "tracer",
+        "install the tracer through simulate() before the run",
     )
 
 

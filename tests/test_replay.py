@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.harness.sweep import SweepPoint
 from repro.harness.tracerun import trace_point
+from repro.instrument.trace import TraceConfig, Tracer
 from repro.workloads.replay import (
     ReplayTrace,
     TraceFormatError,
@@ -32,6 +33,7 @@ from repro.workloads.replay import (
     replay_trace_from_csv,
     replay_trace_to_csv,
     run_replay,
+    tracer_to_replay,
 )
 
 #: A spread of shapes: dense streaming (fir), irregular ping-pong
@@ -298,6 +300,64 @@ def test_converter_rejects_truncated_exports():
 def test_converter_rejects_non_chrome_input():
     with pytest.raises(TraceFormatError, match="traceEvents"):
         chrome_trace_to_replay({"hello": 1})
+
+
+# ----------------------------------------------------------------------
+# the two front ends of the converter: a live tracer and a Chrome export
+# ----------------------------------------------------------------------
+
+#: A DL point with lazy discards on two streams, and a micro with
+#: cross-stream waits, prefetches and both discard modes.
+FRONT_END_POINTS = {
+    "dl-lazy": SweepPoint(
+        workload="dl:vgg16", system="UvmDiscardLazy", batch_size=8, scale=0.03125
+    ),
+    "stencil": ROUND_TRIP_POINTS["stencil"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(FRONT_END_POINTS))
+def test_tracer_front_end_matches_chrome_front_end(label):
+    result, tracer = trace_point(FRONT_END_POINTS[label])
+    assert result is not None
+    digest = tracer.digest()
+    direct = tracer_to_replay(tracer)
+    assert tracer.digest() == digest, "tracer_to_replay changed the tracer"
+    exported = chrome_trace_to_replay(tracer.to_chrome_trace())
+    assert tracer.digest() == digest
+
+    kinds = {op["op"] for op in direct.ops}
+    assert {"stream", "prefetch", "discard", "kernel", "wait"} <= kinds
+    assert sum(op["op"] == "stream" for op in direct.ops) == 2
+    assert any(
+        op["op"] == "discard" and op["mode"] == "lazy" for op in direct.ops
+    )
+
+    assert direct.meta == exported.meta
+    assert direct.expected == exported.expected
+    assert direct.buffers == exported.buffers
+    assert len(direct.ops) == len(exported.ops)
+    for ours, theirs in zip(direct.ops, exported.ops):
+        assert ours.keys() == theirs.keys()
+        for key, value in ours.items():
+            if key == "t":
+                # Record seconds versus ts / 1e6: equal up to rounding.
+                assert value == pytest.approx(theirs["t"])
+            else:
+                assert value == theirs[key], (ours["op"], key)
+
+
+def test_tracer_front_end_rejects_truncated_tracers():
+    _, tracer = trace_point(ROUND_TRIP_POINTS["fir"], TraceConfig(max_records=50))
+    assert tracer.dropped
+    with pytest.raises(TraceFormatError, match="tracer: .* dropped"):
+        tracer_to_replay(tracer)
+
+
+def test_tracer_front_end_names_its_own_remedy():
+    with pytest.raises(TraceFormatError, match="no program-channel") as info:
+        tracer_to_replay(Tracer())
+    assert "re-export" not in str(info.value)
 
 
 _FIELD_POOL = [
