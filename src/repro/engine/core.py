@@ -25,6 +25,10 @@ little uniformity for speed:
 - plain :class:`Event` objects are recycled through a second arena under
   the same refcount proof, so the succeed/resume churn of stores and
   resources allocates nothing in steady state,
+- a finished :class:`Process` drops its bound ``_resume`` callback, the
+  one reference cycle each process forms, so reference counting frees it
+  and the cyclic collector (suspended for a whole pipeline run, see
+  :func:`repro.harness.pipeline.simulate`) never has to,
 - zero-delay events (the majority under contention: grants, store gets,
   process bootstraps and completions) bypass the heap entirely via a
   FIFO *now-queue*.  Ordering is unchanged: every event still carries a
@@ -211,9 +215,10 @@ class Process(Event):
             raise TypeError(f"process needs a generator, got {generator!r}")
         self._generator = generator
         self._target: Optional[Event] = None
-        # One bound method for the process's lifetime: every wait appends
+        # One bound method until the process finishes: every wait appends
         # this callback, and binding it once avoids a fresh bound-method
-        # allocation per yield.
+        # allocation per yield.  It refers back to the process, so each
+        # finishing path in _resume drops it to break that cycle.
         self._resume_cb = self._resume
         # Bootstrap: resume the generator at the current simulation time.
         # The bootstrap event comes from the arena — it dies as soon as
@@ -271,7 +276,7 @@ class Process(Event):
         self.callbacks = None
         self._generator = None
         self._target = None
-        self._resume_cb = self._resume
+        self._resume_cb = None
 
     def _resume(self, event: Event) -> None:
         self._target = None
@@ -289,15 +294,21 @@ class Process(Event):
             except StopIteration as stop:
                 self._value = getattr(stop, "value", None)
                 self._scheduled = True
+                self._resume_cb = None
                 env = self.env
                 sequence = env._sequence
                 env._sequence = sequence + 1
                 env._now_queue.append((sequence, self))
                 return
-            except Interrupt:
+            except Interrupt as interrupt:
                 # An uncaught interrupt terminates the process quietly.
+                # Nothing reads the swallowed exception's traceback, and
+                # it would tie this frame and the interrupting event
+                # into a cycle.
+                interrupt.__traceback__ = None
                 self._value = None
                 self._scheduled = True
+                self._resume_cb = None
                 self.env._schedule(self)
                 return
             except Exception as exc:
@@ -306,6 +317,7 @@ class Process(Event):
                 self._exception = exc
                 self._value = exc
                 self._scheduled = True
+                self._resume_cb = None
                 self.env._schedule(self)
                 return
             # Duck-typed Event check: one attribute load covers both the

@@ -120,6 +120,10 @@ class Resource:
             users.remove(request)
         except ValueError:
             raise SimulationError("release() of a slot that was never granted")
+        # Every granted request carries itself as its value; dropping
+        # that self-reference lets reference counting free a released
+        # request, contended or not, without the cyclic collector.
+        request._value = None
         # A release frees exactly one slot, so at most one waiter can be
         # granted — inlined from _grant_waiters.
         queue = self._queue
@@ -134,17 +138,16 @@ class Resource:
             env._now_queue.append((sequence, granted))
         else:
             # Uncontended release: recycle the request when the holder's
-            # local binding is its only remaining reference (4 == local +
-            # the _value self-reference every granted request carries +
-            # parameter + the getrefcount argument).  Engine-granted
-            # requests are still referenced by run-loop locals here and
-            # anything parked in AllOf lists or traces stays above the
-            # threshold, so only genuinely private objects enter the
-            # pool.  Contended releases skip the check outright — their
-            # requests came through the engine and never pass it.
+            # local binding is its only remaining reference (3 == local +
+            # parameter + the getrefcount argument; the self-reference
+            # is already gone).  Engine-granted requests are still
+            # referenced by run-loop locals here and anything parked in
+            # AllOf lists or traces stays above the threshold, so only
+            # genuinely private objects enter the pool.  Contended
+            # releases skip the check outright — their requests came
+            # through the engine and never pass it.
             spare = self._spare
-            if len(spare) < 8 and getrefcount(request) == 4:
-                request._value = None  # drop the self-reference
+            if len(spare) < 8 and getrefcount(request) == 3:
                 spare.append(request)
 
     def acquire(self, holder: Generator) -> Generator:

@@ -5,6 +5,7 @@ Every exact experiment point — a sweep point, a served request, a
 cell — is simulated by :func:`simulate`, which runs one :class:`Plan`
 through a single protocol:
 
+0. open a collector epoch (below) that spans steps 1–4;
 1. start from the setup prefix: simulated cold by :func:`build_prefix`,
    or forked from an :class:`~repro.engine.snapshot.EngineSnapshot` of
    one, with the plan's driver config re-applied
@@ -23,10 +24,23 @@ trainers — and :func:`~repro.harness.runner.run_uvm_experiment` runs one
 cold.  :func:`plan_for` turns a :class:`~repro.harness.sweep.SweepPoint`
 into the same plan; the replay frontend builds its plan from a trace's
 metadata with the same GPU and link tables.
+
+The collector epoch: each :func:`simulate` call collects the young
+generations once on entry, which frees the previous run's object graph,
+and then suspends the cyclic garbage collector until it returns.
+Finished processes and released requests hold no reference to
+themselves, so reference counting frees the per-op objects as the run
+goes; what stays cyclic (blocks and their buffers, the event pools, a
+resource and its spare requests) does not grow with the run's length.
+The epoch cannot reach simulated state: nothing under ``repro`` defines
+a finalizer or holds a weak reference, so when a cycle is freed changes
+no simulated byte.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -55,6 +69,11 @@ LINK_FACTORIES: Dict[str, Callable[[], Link]] = {
     "gen3": pcie_gen3,
     "gen4": pcie_gen4,
 }
+
+#: Makes reading and switching the process-wide collector state one
+#: step, so concurrent :func:`simulate` calls (the thread executor of
+#: ``repro serve``) leave the collector as the first of them found it.
+_COLLECTOR_LOCK = threading.Lock()
 
 
 @dataclass
@@ -290,36 +309,52 @@ def simulate(
     cold prefix with a fork.  ``result`` is ``None`` on OOM (the
     paper's No-UVM crash); ``runtime`` is ``None`` when the prefix
     itself ran out of memory.
+
+    The call is one collector epoch (step 0 of the module's protocol):
+    it collects the young generations on entry, runs the prefix or
+    fork, the body and the result assembly with the cyclic collector
+    suspended, and re-enables the collector on the way out only if it
+    was enabled on entry, so a nested call or a caller that disabled it
+    keeps its own setting.
     """
-    if snapshot is None:
-        try:
-            runtime = build_prefix(plan)
-        except OutOfMemoryError:
-            return None, None
-    else:
-        runtime = snapshot.fork()
-        runtime.driver.reconfigure(plan.driver_config or UvmDriverConfig())
-    if tracer is not None:
-        tracer.install(runtime)
-        _record_context(tracer, runtime, plan)
-    injector = _install_chaos(runtime, plan.chaos)
+    gc.collect(1)
+    with _COLLECTOR_LOCK:
+        collector_enabled = gc.isenabled()
+        gc.disable()
     try:
-        result = run_uvm_body(
-            runtime,
-            plan.body,
-            plan.system,
-            plan.config_label,
-            plan.app_bytes,
-            plan.ratio,
-            metric=plan.metric,
-        )
+        if snapshot is None:
+            try:
+                runtime = build_prefix(plan)
+            except OutOfMemoryError:
+                return None, None
+        else:
+            runtime = snapshot.fork()
+            runtime.driver.reconfigure(plan.driver_config or UvmDriverConfig())
         if tracer is not None:
-            _record_totals(tracer, runtime)
-    except OutOfMemoryError:
-        result = None
+            tracer.install(runtime)
+            _record_context(tracer, runtime, plan)
+        injector = _install_chaos(runtime, plan.chaos)
+        try:
+            result = run_uvm_body(
+                runtime,
+                plan.body,
+                plan.system,
+                plan.config_label,
+                plan.app_bytes,
+                plan.ratio,
+                metric=plan.metric,
+            )
+            if tracer is not None:
+                _record_totals(tracer, runtime)
+        except OutOfMemoryError:
+            result = None
+        finally:
+            if injector is not None:
+                injector.uninstall()
+            if tracer is not None:
+                tracer.uninstall()
+        return result, runtime
     finally:
-        if injector is not None:
-            injector.uninstall()
-        if tracer is not None:
-            tracer.uninstall()
-    return result, runtime
+        if collector_enabled:
+            with _COLLECTOR_LOCK:
+                gc.enable()

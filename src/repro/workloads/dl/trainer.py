@@ -21,6 +21,7 @@ without running unboundedly ahead of the working set.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generator, List
 
@@ -243,7 +244,8 @@ class DarknetTrainer(Trainer):
                     cuda.prefetch_async(labels, stream=transfer)
 
                 # ---- forward ------------------------------------------
-                kernels: List = [None, None]  # ring of the last two kernels
+                # Ring of the last two kernels: appending drops the oldest.
+                kernels = deque([None, None], maxlen=2)
                 for i, layer in enumerate(net.layers):
                     source = outputs[i - 1] if i > 0 else data
                     if prefetch:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 
 import numpy as np
@@ -44,6 +45,19 @@ def pytest_addoption(parser) -> None:
 def update_golden(request) -> bool:
     """True when the run should regenerate golden snapshots."""
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture
+def collector_off():
+    """Suspend the cyclic garbage collector for one test, starting with
+    no garbage pending, so ``gc.collect()`` counts only the cycles the
+    test itself left behind; the previous setting is restored after."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine core."""
 
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -308,6 +310,47 @@ class TestInterrupt:
         env.run()
         with pytest.raises(SimulationError):
             proc.interrupt()
+
+
+class TestFinishedProcessesLeaveNoCycles:
+    """A finished process drops its bound resume callback, so reference
+    counting alone frees it (the exception path keeps its traceback,
+    which legitimately refers back to the process's frame)."""
+
+    def test_returned_processes(self, collector_off):
+        env = Environment()
+        seen = {}
+
+        def child():
+            yield env.timeout(1.0)
+            return 42
+
+        def parent():
+            seen["value"] = yield env.process(child())
+
+        processes = [env.process(parent()) for _ in range(3)]
+        env.run()
+        assert seen["value"] == 42
+        assert not any(process.is_alive for process in processes)
+        del processes
+        assert gc.collect() == 0
+
+    def test_uncaught_interrupt(self, collector_off):
+        env = Environment()
+
+        def sleeper():
+            yield env.timeout(100.0)
+
+        def interrupter(target):
+            yield env.timeout(1.0)
+            target.interrupt("wake up")
+
+        sleeping = env.process(sleeper())
+        env.process(interrupter(sleeping))
+        env.run()
+        assert not sleeping.is_alive
+        del sleeping
+        assert gc.collect() == 0
 
 
 class TestProcessValidation:

@@ -1,5 +1,7 @@
 """Tests for engine resources (FIFO slots) and stores."""
 
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -128,6 +130,37 @@ class TestResource:
         env.process(outer())
         env.run()
         assert resource.in_use == 0
+
+
+class TestReleasedRequestsLeaveNoCycles:
+    """A release drops the granted request's self-reference, so a
+    released request is recycled or freed by reference counting."""
+
+    def test_contended_release(self, collector_off):
+        env = Environment()
+        resource = Resource(env)
+        holder = resource.try_acquire()
+        waiter = resource.request()
+        resource.release(holder)  # hands the slot to the queued waiter
+        env.run()
+        assert waiter.value is waiter
+        resource.release(waiter)
+        del holder, waiter
+        assert gc.collect() == 0
+
+    def test_uncontended_release(self, collector_off):
+        resource = Resource(Environment())
+        private = resource.try_acquire()
+        resource.release(private)
+        recycled = resource.try_acquire()
+        assert recycled is private  # the refcount proof still recycles
+        elsewhere = [recycled]
+        resource.release(recycled)
+        fresh = resource.try_acquire()
+        assert fresh is not recycled  # still referenced: not recycled
+        resource.release(fresh)
+        del private, recycled, elsewhere, fresh
+        assert gc.collect() == 0
 
 
 class TestStore:

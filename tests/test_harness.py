@@ -1,5 +1,8 @@
 """Tests for the experiment harness: oversubscription, systems, results."""
 
+import gc
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -16,8 +19,9 @@ from repro.harness import (
     apply_oversubscription,
     occupant_bytes,
 )
-from repro.harness.pipeline import Plan
+from repro.harness.pipeline import Plan, simulate
 from repro.harness.runner import ratio_label, run_uvm_experiment
+from repro.harness.sweep import SweepPoint, execute_point
 from repro.interconnect import pcie_gen4
 from repro.units import BIG_PAGE, GIB, MIB
 
@@ -128,6 +132,31 @@ class TestResultTable:
         assert "-" in table.render("metric")
 
 
+def _small_plan(**changes) -> Plan:
+    """A 16 MiB UVM-opt point on a 64 MiB GPU: an 8 MiB buffer set up
+    on the host, then prefetched; ``changes`` replace plan fields."""
+
+    def setup(cuda):
+        cuda.session["buffer"] = cuda.malloc_managed(8 * MIB)
+        yield from ()
+
+    def body(cuda):
+        cuda.prefetch_async(cuda.session["buffer"])
+        yield from cuda.synchronize()
+
+    plan = Plan(
+        setup=setup,
+        body=body,
+        system="UVM-opt",
+        config_label="200%",
+        app_bytes=16 * MIB,
+        ratio=2.0,
+        gpu=tiny_gpu(memory_mib=64),
+        make_link=pcie_gen4,
+    )
+    return replace(plan, **changes)
+
+
 class TestRunner:
     def test_ratio_label(self):
         assert ratio_label(0.99) == "<100%"
@@ -149,25 +178,7 @@ class TestRunner:
         assert ratio_label(3.9999) == "400%"
 
     def test_run_uvm_experiment_end_to_end(self):
-        def setup(cuda):
-            cuda.session["buffer"] = cuda.malloc_managed(8 * MIB)
-            yield from ()
-
-        def body(cuda):
-            cuda.prefetch_async(cuda.session["buffer"])
-            yield from cuda.synchronize()
-
-        plan = Plan(
-            setup=setup,
-            body=body,
-            system="UVM-opt",
-            config_label="200%",
-            app_bytes=16 * MIB,
-            ratio=2.0,
-            gpu=tiny_gpu(memory_mib=64),
-            make_link=pcie_gen4,
-            metric=lambda rt: 42.0,
-        )
+        plan = _small_plan(metric=lambda rt: 42.0)
         result = run_uvm_experiment(plan)
         assert result.system == "UVM-opt"
         assert result.config == "200%"
@@ -179,3 +190,141 @@ class TestRunner:
 
         with pytest.raises(OutOfMemoryError, match="do not fit in the"):
             run_uvm_experiment(replace(plan, body=too_big))
+
+
+#: A Fig. 5 training point, short enough to run twice per test.
+DARKNET_POINT = SweepPoint(
+    "dl:darknet19", "UvmDiscard", batch_size=360, scale=1 / 32, batches=2
+)
+
+
+class TestCollectorEpoch:
+    """Each simulate() call is one collector epoch: the cyclic collector
+    is off while it runs and back in the caller's setting afterwards."""
+
+    def test_restored_after_a_normal_return(self):
+        seen = {}
+
+        def body(cuda):
+            seen["inside"] = gc.isenabled()
+            yield from cuda.synchronize()
+
+        result, runtime = simulate(_small_plan(body=body))
+        assert result is not None and runtime is not None
+        assert seen["inside"] is False
+        assert gc.isenabled()
+
+    def test_restored_after_a_prefix_oom(self):
+        def setup(cuda):
+            yield from cuda.malloc_device(128 * MIB)
+
+        assert simulate(_small_plan(setup=setup)) == (None, None)
+        assert gc.isenabled()
+
+    def test_restored_after_a_body_that_raises(self):
+        def body(cuda):
+            yield from cuda.synchronize()
+            raise ValueError("body failed")
+
+        with pytest.raises(ValueError, match="body failed"):
+            simulate(_small_plan(body=body))
+        assert gc.isenabled()
+
+    def test_nested_call_leaves_the_outer_epoch_running(self):
+        seen = {}
+
+        def body(cuda):
+            seen["inner"] = simulate(_small_plan())[0]
+            seen["after_inner"] = gc.isenabled()
+            yield from cuda.synchronize()
+
+        assert simulate(_small_plan(body=body))[0] is not None
+        assert seen["inner"] is not None
+        assert seen["after_inner"] is False
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            assert simulate(_small_plan())[0] is not None
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_caller_leaving_during_another_entry_keeps_the_collector_on(
+        self, monkeypatch
+    ):
+        # Caller A leaves its epoch while caller B sits between reading
+        # the collector state (off, because A is inside) and switching
+        # it off.  Unless the read and the switch are one step, B would
+        # switch off after A switched back on, and nobody would re-enable.
+        a_inside = threading.Event()
+        a_may_leave = threading.Event()
+        a_left = threading.Event()
+        errors = []
+
+        def held_body(cuda):
+            a_inside.set()
+            a_may_leave.wait(timeout=30)
+            yield from cuda.synchronize()
+
+        def caller_a():
+            try:
+                simulate(_small_plan(body=held_body))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+            a_left.set()
+
+        def caller_b():
+            try:
+                simulate(_small_plan())
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        isenabled = gc.isenabled
+
+        def isenabled_then_let_a_leave():
+            enabled = isenabled()
+            if threading.current_thread() is b:
+                a_may_leave.set()
+                a_left.wait(timeout=0.2)
+            return enabled
+
+        a = threading.Thread(target=caller_a)
+        b = threading.Thread(target=caller_b)
+        monkeypatch.setattr(gc, "isenabled", isenabled_then_let_a_leave)
+        try:
+            a.start()
+            assert a_inside.wait(timeout=30)
+            b.start()
+            a.join(timeout=60)
+            b.join(timeout=60)
+        finally:
+            a_may_leave.set()
+        assert not a.is_alive() and not b.is_alive()
+        assert not errors, errors
+        assert isenabled()
+
+    def test_cyclic_garbage_does_not_grow_with_run_length(self, collector_off):
+        left = {}
+        for batches in (2, 4):
+            assert execute_point(replace(DARKNET_POINT, batches=batches))
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                gc.collect()
+                left[batches] = Counter(type(o).__name__ for o in gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.collect()  # the saved cycles are garbage again
+        assert left[2] == left[4]
+        assert not {"Process", "generator", "method"} & set(left[4])
+
+    def test_repeated_points_leave_no_growing_graph(self):
+        gc.collect()
+        before = len(gc.get_objects())
+        left = []
+        for _ in range(12):
+            assert execute_point(DARKNET_POINT)
+            left.append(len(gc.get_objects()) - before)
+        assert max(left) <= 1.02 * left[1], left
