@@ -9,18 +9,19 @@ awaitable primitives:
 - :class:`~repro.engine.core.Process` — wait for a child process to finish,
 - :class:`~repro.engine.resources.Request` — acquire a FIFO resource slot.
 
-The engine drives everything from a single binary heap of scheduled events,
-so runs are fully deterministic: identical inputs produce identical traces,
-which the test suite relies on heavily.
+Every scheduled event carries a ``(time, sequence)`` key.  Future events
+wait in per-timestamp FIFO buckets ordered by a heap of their distinct
+times, zero-delay events in a FIFO now-queue, and one run loop pops both
+in exact key order, so runs are fully deterministic: identical inputs
+produce identical traces, which the test suite relies on heavily.
 """
 
-from repro.engine.core import Environment, Event, Interrupt, Process, Timeout
+from repro.engine.core import Environment, Event, Process, Timeout
 from repro.engine.resources import Resource, Store
 
 __all__ = [
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Timeout",
     "Resource",

@@ -1,10 +1,10 @@
 """Core of the discrete-event engine: environment, events, processes.
 
-The design follows the classic event-loop pattern: an
-:class:`Environment` owns a heap of ``(time, sequence, event)`` triples.
-Running the simulation pops events in time order and, for each, resumes the
-generator-based processes waiting on it.  The ``sequence`` counter breaks
-ties deterministically (FIFO among simultaneous events).
+The design follows the classic event-loop pattern: every scheduled event
+carries a ``(time, sequence)`` key, and :meth:`Environment.run` processes
+events in key order, resuming the generator-based processes waiting on
+each.  The ``sequence`` counter breaks ties deterministically (FIFO among
+simultaneous events).
 
 Hot-path notes
 --------------
@@ -12,12 +12,12 @@ This module is the innermost loop of every simulation, so it trades a
 little uniformity for speed:
 
 - every event class declares ``__slots__`` (no per-event ``__dict__``),
-- :meth:`Environment.run` inlines the step loop (no per-event method
-  dispatch through :meth:`Environment.step`, which remains available for
-  manual stepping),
+- :meth:`Environment.run` is the only place events are popped and
+  dispatched: one inlined loop serves all three ``until`` modes, so the
+  pop rule, the callback dispatch and the recycling are written once,
 - :class:`Process` resumes through already-processed targets
   *synchronously* instead of scheduling a proxy event per yield, so a
-  chain of satisfied dependencies costs zero heap traffic,
+  chain of satisfied dependencies costs zero scheduling traffic,
 - :meth:`Environment.timeout` recycles :class:`Timeout` objects through a
   small pool.  A timeout is recycled only when the run loop can prove it
   is unreferenced (``sys.getrefcount``), so holding on to a timeout and
@@ -29,13 +29,17 @@ little uniformity for speed:
   one reference cycle each process forms, so reference counting frees it
   and the cyclic collector (suspended for a whole pipeline run, see
   :func:`repro.harness.pipeline.simulate`) never has to,
+- future events live in per-timestamp FIFO buckets, and a heap orders
+  only the distinct timestamps,
 - zero-delay events (the majority under contention: grants, store gets,
-  process bootstraps and completions) bypass the heap entirely via a
+  process bootstraps and completions) bypass the buckets entirely via a
   FIFO *now-queue*.  Ordering is unchanged: every event still carries a
   global sequence number, and the pop rule compares ``(time, seq)``
   across both structures, so the processed order is bit-identical to a
   single-heap engine — the now-queue only removes the O(log n) sift
   cost from events that could never sort before the current time.
+  ``tests/test_engine_reference.py`` checks exactly that against a
+  plain one-heap engine.
 
 Both arenas live on the :class:`Environment` and are ordinary pickled
 state, so a forked :class:`~repro.engine.snapshot.EngineSnapshot`
@@ -120,11 +124,6 @@ class Event:
         return self._scheduled
 
     @property
-    def processed(self) -> bool:
-        """Whether the event's callbacks have already run."""
-        return self.callbacks is None  # type: ignore[return-value]
-
-    @property
     def value(self) -> Any:
         if self._value is _PENDING:
             raise SimulationError("event value read before the event fired")
@@ -166,11 +165,6 @@ class Event:
         self.env._schedule(self)
         return self
 
-    def _process_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None  # type: ignore[assignment]
-        for callback in callbacks:
-            callback(self)
-
 
 class Timeout(Event):
     """An event that fires automatically after a fixed delay."""
@@ -191,14 +185,6 @@ class Timeout(Event):
         env._schedule(self, delay=delay)
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running simulation process wrapping a generator.
 
@@ -207,14 +193,13 @@ class Process(Event):
     ``yield env.process(child())`` work for fork/join composition.
     """
 
-    __slots__ = ("_generator", "_target", "_resume_cb")
+    __slots__ = ("_generator", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         super().__init__(env)
         if not hasattr(generator, "send"):
             raise TypeError(f"process needs a generator, got {generator!r}")
         self._generator = generator
-        self._target: Optional[Event] = None
         # One bound method until the process finishes: every wait appends
         # this callback, and binding it once avoids a fresh bound-method
         # allocation per yield.  It refers back to the process, so each
@@ -232,28 +217,6 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         return not self._scheduled
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._scheduled:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is not None and self._target.callbacks is not None:
-            # Detach from whatever the process was waiting on, so the
-            # original event cannot resume the process a second time.
-            try:
-                self._target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        interruption = Event(self.env)
-        interruption._value = Interrupt(cause)
-        interruption._exception = Interrupt(cause)
-        interruption._scheduled = True
-        interruption.callbacks.append(self._resume_cb)
-        self.env._schedule(interruption)
-
-    # Used as an event callback, hence the event-shaped signature.
-    def __call__(self, event: Event) -> None:
-        self._resume(event)
 
     # Snapshot support: the serialize-once transport
     # (EngineSnapshot.to_blob) pickles the quiescent graph directly.
@@ -275,11 +238,9 @@ class Process(Event):
         self.env, self._value, self._exception, self._scheduled = state
         self.callbacks = None
         self._generator = None
-        self._target = None
         self._resume_cb = None
 
     def _resume(self, event: Event) -> None:
-        self._target = None
         generator = self._generator
         # Resume the generator, following chains of already-processed
         # targets synchronously: yielding a satisfied event costs one
@@ -299,17 +260,6 @@ class Process(Event):
                 sequence = env._sequence
                 env._sequence = sequence + 1
                 env._now_queue.append((sequence, self))
-                return
-            except Interrupt as interrupt:
-                # An uncaught interrupt terminates the process quietly.
-                # Nothing reads the swallowed exception's traceback, and
-                # it would tie this frame and the interrupting event
-                # into a cycle.
-                interrupt.__traceback__ = None
-                self._value = None
-                self._scheduled = True
-                self._resume_cb = None
-                self.env._schedule(self)
                 return
             except Exception as exc:
                 if not self.callbacks:
@@ -335,7 +285,6 @@ class Process(Event):
                 event = target
                 continue
             target_callbacks.append(self._resume_cb)
-            self._target = target
             return
 
 
@@ -369,7 +318,7 @@ class AllOf(Event):
 
 
 class Environment:
-    """The simulation environment: virtual clock plus the event heap."""
+    """The simulation environment: virtual clock plus the event queues."""
 
     __slots__ = ("_now", "_heap", "_buckets", "_now_queue", "_sequence",
                  "_timeout_pool", "_event_pool", "_monitors", "_event_count")
@@ -398,7 +347,7 @@ class Environment:
         # (env, event_count).  Kept as a plain list whose *binding* is
         # replaced on mutation, so an in-flight iteration in the run loop
         # never sees a half-updated list.  Empty in the common case: the
-        # loops pay one truthiness test per event.
+        # loop pays one truthiness test per event.
         self._monitors: List[Callable[["Environment", int], None]] = []
         self._event_count = 0
 
@@ -443,8 +392,7 @@ class Environment:
     @property
     def heap_depth(self) -> int:
         """Number of scheduled events — the engine's backlog gauge,
-        sampled by the metrics monitor.  Includes cancelled-but-unpopped
-        heap entries, matching what the run loop actually holds."""
+        sampled by the metrics monitor."""
         return len(self._now_queue) + sum(map(len, self._buckets.values()))
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -508,65 +456,15 @@ class Environment:
         """An event that fires once all ``events`` have fired."""
         return AllOf(self, events)
 
-    def _pop_next(self) -> Event:
-        """Remove and return the next event in ``(time, sequence)`` order.
-
-        The pop rule that makes the split heap/now-queue representation
-        behave exactly like one big heap: a heap entry wins only when its
-        timestamp has already been reached *and* its sequence number is
-        older than the now-queue head; otherwise the now-queue (implicit
-        timestamp ``self._now``) goes first.
-        """
-        nowq = self._now_queue
-        heap = self._heap
-        buckets = self._buckets
-        if nowq:
-            if (
-                heap
-                and heap[0] <= self._now
-                and buckets[heap[0]][0][0] < nowq[0][0]
-            ):
-                time = heap[0]
-                if time < self._now:
-                    raise SimulationError(
-                        f"time went backwards: {time} < {self._now}"
-                    )
-                bucket = buckets[time]
-                event = bucket.pop(0)[1]
-                if not bucket:
-                    heappop(heap)
-                    del buckets[time]
-                return event
-            return nowq.popleft()[1]
-        time = heap[0]
-        if time < self._now:
-            raise SimulationError(f"time went backwards: {time} < {self._now}")
-        bucket = buckets[time]
-        event = bucket.pop(0)[1]
-        if not bucket:
-            heappop(heap)
-            del buckets[time]
-        self._now = time
-        return event
-
-    def step(self) -> None:
-        """Process the single next event on the heap."""
-        if not self._heap and not self._now_queue:
-            raise SimulationError("step() on an empty event heap")
-        event = self._pop_next()
-        event._process_callbacks()
-        self._event_count += 1
-        if self._monitors:
-            count = self._event_count
-            for monitor in self._monitors:
-                monitor(self, count)
-
     def run(self, until: Optional[Any] = None) -> Any:
-        """Run until the heap drains, a deadline passes, or an event fires.
+        """Run until the queues drain, a deadline passes, or an event fires.
 
         ``until`` may be ``None`` (drain everything), a number (absolute
-        simulation time), or an :class:`Event` whose firing stops the run
-        and whose value is returned.
+        simulation time, not before :attr:`now`; events at exactly that
+        time still run, and the clock ends on it), or an :class:`Event`
+        whose firing stops the run and whose value is returned.  Waiting
+        on an event that nothing left scheduled can fire raises
+        :class:`~repro.errors.SimulationError`.
         """
         heap = self._heap
         nowq = self._now_queue
@@ -575,99 +473,34 @@ class Environment:
         arena = self._event_pool
         getrefcount = sys.getrefcount
         pending = _PENDING
+        sentinel = deadline = None
         if isinstance(until, Event):
             sentinel = until
-            while sentinel.callbacks is not None:
-                if nowq:
-                    if (
-                        heap
-                        and heap[0] <= self._now
-                        and buckets[heap[0]][0][0] < nowq[0][0]
-                    ):
-                        time = heap[0]
-                        if time < self._now:
-                            raise SimulationError(
-                                f"time went backwards: {time} < {self._now}"
-                            )
-                        bucket = buckets[time]
-                        event = bucket.pop(0)[1]
-                        if not bucket:
-                            heappop(heap)
-                            del buckets[time]
-                    else:
-                        event = nowq.popleft()[1]
-                elif heap:
-                    time = heap[0]
-                    if time < self._now:
-                        raise SimulationError(
-                            f"time went backwards: {time} < {self._now}"
-                        )
-                    bucket = buckets[time]
-                    event = bucket.pop(0)[1]
-                    if not bucket:
-                        heappop(heap)
-                        del buckets[time]
-                    self._now = time
-                else:
-                    raise SimulationError(
-                        "simulation starved before the awaited event fired"
-                    )
-                callbacks = event.callbacks
-                event.callbacks = None  # type: ignore[assignment]
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                cls = type(event)
-                if cls is Timeout:
-                    if len(pool) < _TIMEOUT_POOL_LIMIT and getrefcount(event) == 2:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        pool.append(event)
-                elif cls is Event:
-                    if len(arena) < _EVENT_POOL_LIMIT and getrefcount(event) == 2:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        event._value = pending
-                        event._exception = None
-                        arena.append(event)
-                self._event_count += 1
-                if self._monitors:
-                    count = self._event_count
-                    for monitor in self._monitors:
-                        monitor(self, count)
-            if sentinel._exception is not None:
-                raise sentinel._exception
-            return sentinel._value
-        deadline = float(until) if until is not None else None
-        while True:
-            if nowq:
-                if deadline is not None and self._now > deadline:
-                    self._now = deadline
-                    return None
-                if (
-                    heap
-                    and heap[0] <= self._now
-                    and buckets[heap[0]][0][0] < nowq[0][0]
-                ):
-                    time = heap[0]
-                    if time < self._now:
-                        raise SimulationError(
-                            f"time went backwards: {time} < {self._now}"
-                        )
-                    bucket = buckets[time]
-                    event = bucket.pop(0)[1]
-                    if not bucket:
-                        heappop(heap)
-                        del buckets[time]
-                else:
-                    event = nowq.popleft()[1]
+        elif until is not None:
+            deadline = float(until)
+            if deadline < self._now:
+                raise ValueError(
+                    f"run(until={deadline}) is before the current time "
+                    f"{self._now}"
+                )
+        while sentinel is None or sentinel.callbacks is not None:
+            # The pop rule: a bucketed event goes first only when its
+            # time has been reached *and* its sequence is older than the
+            # now-queue head (whose implicit time is always ``_now``), so
+            # the split representation pops in exact (time, seq) order.
+            # The sequence test decides when a positive delay is too small
+            # to move the float clock: that timeout lands on the current
+            # instant, behind zero-delay events already queued there.
+            if nowq and not (
+                heap
+                and heap[0] <= self._now
+                and buckets[heap[0]][0][0] < nowq[0][0]
+            ):
+                event = nowq.popleft()[1]
             elif heap:
                 time = heap[0]
                 if deadline is not None and time > deadline:
-                    self._now = deadline
-                    return None
+                    break
                 if time < self._now:
                     raise SimulationError(
                         f"time went backwards: {time} < {self._now}"
@@ -678,8 +511,12 @@ class Environment:
                     heappop(heap)
                     del buckets[time]
                 self._now = time
-            else:
+            elif sentinel is None:
                 break
+            else:
+                raise SimulationError(
+                    "simulation starved before the awaited event fired"
+                )
             callbacks = event.callbacks
             event.callbacks = None  # type: ignore[assignment]
             if len(callbacks) == 1:
@@ -710,6 +547,12 @@ class Environment:
                 count = self._event_count
                 for monitor in self._monitors:
                     monitor(self, count)
-        if deadline is not None and deadline > self._now:
+        if sentinel is not None:
+            if sentinel._exception is not None:
+                raise sentinel._exception
+            return sentinel._value
+        if deadline is not None:
+            # Nothing is left at or before the deadline; the clock never
+            # passes it, so this only moves time forward.
             self._now = deadline
         return None

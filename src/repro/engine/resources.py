@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from sys import getrefcount
-from typing import Any, Deque, Generator, List, Optional
+from typing import Any, Deque, List, Optional
 
 from repro.engine.core import Environment, Event, _PENDING
 from repro.errors import SimulationError
@@ -19,20 +19,12 @@ from repro.errors import SimulationError
 class Request(Event):
     """A pending acquisition of one resource slot.
 
-    Fires when the slot is granted.  Must be released via
-    :meth:`Resource.release` (or used through :meth:`Resource.acquire`).
+    Built only by :meth:`Resource.request` (fires when the slot is
+    granted) and :meth:`Resource.try_acquire` (granted on creation).
+    Must be returned via :meth:`Resource.release`.
     """
 
     __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._enqueue(self)
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request."""
-        self.resource._cancel(self)
 
 
 class Resource:
@@ -70,9 +62,9 @@ class Resource:
 
     def request(self) -> Request:
         """Create a request for one slot; yields when granted."""
-        # Inlined Request.__init__/_enqueue: under contention (queue
+        # Built without a constructor chain: under contention (queue
         # non-empty or at capacity) the request just parks, so the
-        # constructor-chain and grant-scan cost would be pure overhead.
+        # Event.__init__ call and the grant scan would be pure overhead.
         spare = self._spare
         if spare:
             request = spare.pop()
@@ -150,31 +142,6 @@ class Resource:
             if len(spare) < 8 and getrefcount(request) == 3:
                 spare.append(request)
 
-    def acquire(self, holder: Generator) -> Generator:
-        """Run ``holder`` (a generator) while holding one slot.
-
-        Convenience wrapper encapsulating request/try/finally-release::
-
-            yield from resource.acquire(self._do_transfer(...))
-        """
-        request = self.request()
-        yield request
-        try:
-            result = yield self.env.process(holder)
-        finally:
-            self.release(request)
-        return result
-
-    def _enqueue(self, request: Request) -> None:
-        self._queue.append(request)
-        self._grant_waiters()
-
-    def _cancel(self, request: Request) -> None:
-        try:
-            self._queue.remove(request)
-        except ValueError:
-            raise SimulationError("cancel() of a request that is not queued")
-
     def _grant_waiters(self) -> None:
         queue = self._queue
         users = self._users
@@ -182,8 +149,9 @@ class Resource:
             granted = queue.popleft()
             users.append(granted)
             # Inlined granted.succeed(granted): a queued request is never
-            # already triggered (cancel removes it from the queue), so the
-            # guard and the attribute dance of succeed() are pure cost.
+            # already triggered (it leaves the queue only by being
+            # granted), so the guard and the attribute dance of succeed()
+            # are pure cost.
             granted._value = granted
             granted._scheduled = True
             env = granted.env

@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.cuda.device import GpuSpec
 from repro.cuda.runtime import CudaRuntime
@@ -17,6 +18,10 @@ from repro.units import GB, MIB
 #: every run sees identical data; export ``REPRO_TEST_SEED`` to probe
 #: other draws (a failure then reports which seed to reproduce with).
 TEST_SEED = int(os.environ.get("REPRO_TEST_SEED", "20220821"))
+
+# A deeper search for tests that take their example count from the
+# active profile (``--hypothesis-profile=ci``); tier-1 keeps the default.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
 def tiny_gpu(memory_mib: int = 64, name: str = "gpu0") -> GpuSpec:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine import Environment, Interrupt
+from repro.engine import Environment
 from repro.errors import SimulationError
 
 
@@ -268,48 +268,30 @@ class TestRunModes:
         with pytest.raises(SimulationError):
             env.run(until=never)
 
-    def test_step_on_empty_heap_rejected(self):
-        with pytest.raises(SimulationError):
-            Environment().step()
-
     def test_run_past_deadline_advances_clock(self):
         env = Environment()
         env.run(until=10.0)
         assert env.now == pytest.approx(10.0)
 
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeping_process(self):
-        env = Environment()
-        seen = {}
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                seen["cause"] = interrupt.cause
-                seen["time"] = env.now
-
-        def interrupter(target):
-            yield env.timeout(1.0)
-            target.interrupt("wake up")
-
-        proc = env.process(sleeper())
-        env.process(interrupter(proc))
-        env.run()
-        assert seen["cause"] == "wake up"
-        assert seen["time"] == pytest.approx(1.0)
-
-    def test_interrupting_finished_process_rejected(self):
+    def test_deadline_before_now_rejected(self):
         env = Environment()
 
-        def quick():
-            yield env.timeout(0.1)
+        def ticker():
+            while True:
+                yield env.timeout(1.0)
 
-        proc = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
+        env.process(ticker())
+        env.run(until=10.0)
+        with pytest.raises(ValueError, match="5.0.*10.0"):
+            env.run(until=5.0)
+        env.process(ticker())
+        with pytest.raises(ValueError, match="2.0.*10.0"):
+            env.run(until=2.0)
+        assert env.now == 10.0
+        # A deadline equal to the current time is legal and runs what is
+        # due now without moving the clock.
+        env.run(until=10.0)
+        assert env.now == 10.0
 
 
 class TestFinishedProcessesLeaveNoCycles:
@@ -333,23 +315,6 @@ class TestFinishedProcessesLeaveNoCycles:
         assert seen["value"] == 42
         assert not any(process.is_alive for process in processes)
         del processes
-        assert gc.collect() == 0
-
-    def test_uncaught_interrupt(self, collector_off):
-        env = Environment()
-
-        def sleeper():
-            yield env.timeout(100.0)
-
-        def interrupter(target):
-            yield env.timeout(1.0)
-            target.interrupt("wake up")
-
-        sleeping = env.process(sleeper())
-        env.process(interrupter(sleeping))
-        env.run()
-        assert not sleeping.is_alive
-        del sleeping
         assert gc.collect() == 0
 
 

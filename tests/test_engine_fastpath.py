@@ -12,7 +12,6 @@ import pytest
 
 from repro.engine.core import Environment, Timeout
 from repro.engine.resources import Request, Resource, Store
-from repro.errors import SimulationError
 
 
 class Boom(RuntimeError):
@@ -57,56 +56,6 @@ class TestAllOfFailure:
 
         env.process(waiter())
         env.run()
-
-
-class TestRequestCancel:
-    def test_cancel_while_queued_skips_grant(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        granted = []
-
-        def holder():
-            request = resource.request()
-            yield request
-            yield env.timeout(1.0)
-            resource.release(request)
-
-        def cancelling_waiter():
-            request = resource.request()
-            yield env.timeout(0.5)  # still queued behind the holder
-            request.cancel()
-            granted.append(("cancelled-fired", request.triggered))
-
-        def patient_waiter():
-            request = resource.request()
-            yield request
-            granted.append(("patient", env.now))
-            resource.release(request)
-
-        env.process(holder())
-        env.process(cancelling_waiter())
-        env.process(patient_waiter())
-        env.run()
-        # The freed slot bypasses the cancelled request and goes to the
-        # next one in FIFO order; the cancelled request never fires.
-        assert ("cancelled-fired", False) in granted
-        assert ("patient", pytest.approx(1.0)) in granted
-
-    def test_cancel_of_granted_request_rejected(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        request = resource.request()  # granted immediately
-        with pytest.raises(SimulationError):
-            request.cancel()
-
-    def test_cancel_twice_rejected(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        resource.request()  # occupies the slot
-        queued = resource.request()
-        queued.cancel()
-        with pytest.raises(SimulationError):
-            queued.cancel()
 
 
 class TestStoreOrdering:

@@ -94,43 +94,6 @@ class TestResource:
         assert resource.in_use == 0
         assert resource.queue_length == 0
 
-    def test_cancel_dequeues_request(self):
-        env = Environment()
-        resource = Resource(env)
-
-        def holder():
-            request = resource.request()
-            yield request
-            yield env.timeout(1.0)
-            resource.release(request)
-
-        env.process(holder())
-        env.run(until=0.5)
-        pending = resource.request()
-        assert resource.queue_length == 1
-        pending.cancel()
-        assert resource.queue_length == 0
-        with pytest.raises(SimulationError):
-            pending.cancel()
-
-    def test_acquire_helper_releases_on_error(self):
-        env = Environment()
-        resource = Resource(env)
-
-        def failing_body():
-            yield env.timeout(1.0)
-            raise ValueError("inner")
-
-        def outer():
-            try:
-                yield from resource.acquire(failing_body())
-            except ValueError:
-                pass
-
-        env.process(outer())
-        env.run()
-        assert resource.in_use == 0
-
 
 class TestReleasedRequestsLeaveNoCycles:
     """A release drops the granted request's self-reference, so a
