@@ -68,14 +68,6 @@ class UvmDriverConfig:
     #: matters for the backward pass's reverse-order re-reads).
     eviction_policy: str = "lru"
 
-    #: Back page tables with the bitmap-slab implementation
-    #: (:class:`repro.vm.page_table.BitmapPageTable`) instead of the
-    #: scalar set-based reference.  Both produce byte-identical costs and
-    #: counters; the bitmap is faster to probe and cheap to serialize on
-    #: snapshot fork.  Disabling selects the scalar reference path (used
-    #: by the differential property tests).
-    vectorized: bool = True
-
     #: Raise :class:`~repro.errors.DiscardSemanticsError` on UvmDiscardLazy
     #: misuse (reuse without the mandatory prefetch) instead of merely
     #: counting it and corrupting the simulated data, which is what real

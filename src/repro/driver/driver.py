@@ -40,7 +40,7 @@ from repro.interconnect.link import Link
 from repro.memsim.frames import Frame, FrameAllocator
 from repro.units import BIG_PAGE, SMALL_PAGE
 from repro.memsim.zeroing import ZeroFillModel
-from repro.vm.page_table import AnyPageTable, MappingCosts, PageTable, make_page_table
+from repro.vm.page_table import BitmapPageTable, MappingCosts
 
 
 #: Distinguishes "no entry" from a lazily-materialized (``None``) lock.
@@ -57,13 +57,12 @@ class _GpuState:
         capacity_bytes: int,
         zero_model: ZeroFillModel,
         mapping_costs: MappingCosts,
-        vectorized: bool = True,
         eviction_policy: str = "lru",
     ) -> None:
         self.name = name
         self.allocator = FrameAllocator(name, capacity_bytes)
         self.queues = GpuPageQueues(name, eviction_policy)
-        self.page_table = make_page_table(name, mapping_costs, vectorized=vectorized)
+        self.page_table = BitmapPageTable(name, mapping_costs)
         self.engines = CopyEngines(env)
         self.zero_model = zero_model
 
@@ -119,7 +118,7 @@ class UvmDriver:
         #: so the disabled configuration costs one attribute load.
         self.tracer = NULL_TRACER
         # CPU PTE operations are local and cheap compared to GPU ones.
-        self.cpu_page_table = make_page_table(
+        self.cpu_page_table = BitmapPageTable(
             CPU,
             MappingCosts(
                 map_block=0.2e-6,
@@ -127,7 +126,6 @@ class UvmDriver:
                 tlb_invalidate=0.3e-6,
                 batch_overhead=0.1e-6,
             ),
-            vectorized=self.config.vectorized,
         )
         self._blocks: Dict[int, VaBlock] = {}
         # Per-block mutual exclusion for concurrent residency operations
@@ -179,9 +177,10 @@ class UvmDriver:
         A snapshot carries the *prefix* point's configuration; each fork
         re-applies its own point's knobs before the measured body runs.
         Accumulated instrument state is deliberately untouched — it is
-        part of the simulation history being continued.  Knobs baked
-        into the prefix itself (the page-table implementation) are
-        grouped apart by the sweep's prefix key instead.
+        part of the simulation history being continued.  Knobs that
+        shape the prefix itself (the sweep's
+        ``SETUP_AFFECTING_DRIVER_KEYS``) are grouped apart by its prefix
+        key instead.
         """
         self._apply_config(config)
 
@@ -220,7 +219,6 @@ class UvmDriver:
             capacity_bytes,
             zero_model or ZeroFillModel(),
             mapping_costs or MappingCosts(),
-            vectorized=self.config.vectorized,
             eviction_policy=self.config.eviction_policy,
         )
 
@@ -323,7 +321,7 @@ class UvmDriver:
                 )
         return out
 
-    def gpu_page_table(self, name: str) -> AnyPageTable:
+    def gpu_page_table(self, name: str) -> BitmapPageTable:
         return self._gpu(name).page_table
 
     def reserve_gpu_memory(self, name: str, nbytes: int) -> None:

@@ -383,16 +383,14 @@ def execute_point(point: SweepPoint) -> Optional[ExperimentResult]:
 # ----------------------------------------------------------------------
 
 #: Driver-config fields that influence the *setup* prefix (CPU faults
-#: during host initialization, the transfer records that keep them, and
-#: the page-table implementation, fixed when the prefix builds its
-#: tables).  Two points may share one prefix snapshot only when these
-#: agree; every other knob is setup-inert and is re-applied per fork via
+#: during host initialization and the transfer records that keep them).
+#: Two points may share one prefix snapshot only when these agree; every
+#: other knob is setup-inert and is re-applied per fork via
 #: :meth:`~repro.driver.driver.UvmDriver.reconfigure`.
 SETUP_AFFECTING_DRIVER_KEYS = frozenset(
     {
         "cpu_fault_overhead",
         "keep_transfer_records",
-        "vectorized",
     }
 )
 

@@ -8,32 +8,30 @@ mappings: clearing PTEs and invalidating GPU TLBs over the interconnect is
 what makes the eager implementation expensive, so this module meters those
 operations precisely.
 
-Two interchangeable residency representations live here:
+Two residency representations with one API live here:
 
-- :class:`PageTable` — the original set-of-indices table; kept as the
-  scalar reference implementation (``UvmDriverConfig.vectorized=False``
-  and the differential property tests select it).
-- :class:`BitmapPageTable` — a residency slab (``bytearray`` with one
-  byte per 2 MiB block at a sliding origin; byte-per-block measured
-  faster than bit-packing because scalar lookups need no shift/mask
-  arithmetic, and a byte per block is still ~30x denser than a set
-  entry) with the same API and a memcpy-cheap deepcopy, which is what
+- :class:`BitmapPageTable` — the driver's table: a residency slab
+  (``bytearray`` with one byte per 2 MiB block at a sliding origin;
+  byte-per-block measured faster than bit-packing because scalar lookups
+  need no shift/mask arithmetic, and a byte per block is still ~30x
+  denser than a set entry) with a memcpy-cheap deepcopy, which is what
   makes engine snapshots fork quickly.
+- :class:`PageTable` — a plain set-of-indices table, kept only as the
+  reference that ``tests/test_vectorized_differential.py`` checks the
+  bitmap table against (same costs, counters, errors and mapped sets).
 
 Both tables map and unmap one block per call: the driver's batch paths
 interleave each block's CPU unmap, GPU map and zero-fill costs, so a
-batch adds its costs block by block in the same order either way.  The
-one batch query, :meth:`~BitmapPageTable.unmapped`, is the executor's
-fault probe over one kernel operand's wave.
-
-:func:`make_page_table` selects one from the driver config knob.
+batch adds its costs block by block in the same order.  The one batch
+query, :meth:`~BitmapPageTable.unmapped`, is the executor's fault probe
+over one kernel operand's wave.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Set, Union
+from typing import Iterable, Optional, Set
 
 import numpy as np
 
@@ -314,16 +312,3 @@ class BitmapPageTable:
         self.tlb_invalidations = 0
 
 
-#: Either implementation satisfies the same protocol.
-AnyPageTable = Union[PageTable, BitmapPageTable]
-
-
-def make_page_table(
-    processor: str,
-    costs: Optional[MappingCosts] = None,
-    vectorized: bool = True,
-) -> AnyPageTable:
-    """Select the page-table implementation from the driver config knob."""
-    if vectorized:
-        return BitmapPageTable(processor, costs)
-    return PageTable(processor, costs)

@@ -281,12 +281,6 @@ class TestPrefixKey:
                 "fir", "UvmDiscard", ratio=2.0, scale=0.01,
                 driver={"keep_transfer_records": True},
             ),
-            # The prefix builds its page tables bitmap or scalar, and a
-            # fork cannot switch them.
-            SweepPoint(
-                "fir", "UvmDiscard", ratio=2.0, scale=0.01,
-                driver={"vectorized": False},
-            ),
         ]
         for point in different:
             assert prefix_key(point) != prefix_key(base), point.label
