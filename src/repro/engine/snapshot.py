@@ -314,6 +314,15 @@ class BlobStore:
             else:
                 with os.fdopen(fd, "w") as handle:
                     handle.write(f"{os.getpid()}\n")
+                # Whoever held the lock may have published and dropped it
+                # between the read above and this claim; that blob wins
+                # over a second build.
+                blob = self._read(blob_path)
+                if blob is not None:
+                    self._drop_lock(kid)
+                    self._count("hits")
+                    self._touch(blob_path)
+                    return blob, None
                 self._count("misses")
                 return None, BlobClaim(self, key, kid)
             # Another process is building this prefix: wait for the
