@@ -17,7 +17,7 @@ the online validator and the chaos oracle run mid-flight.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.instrument.rmt import (
     FATE_DISCARDED,
@@ -40,22 +40,29 @@ RAW_BUCKET = "(raw)"
 _FATES = (FATE_USEFUL, FATE_OVERWRITTEN, FATE_DISCARDED, FATE_UNUSED)
 _REDUNDANT_FATES = (FATE_OVERWRITTEN, FATE_DISCARDED, FATE_UNUSED)
 
-_DIRECTION_KEYS = {
-    TransferDirection.HOST_TO_DEVICE: "h2d",
-    TransferDirection.DEVICE_TO_HOST: "d2h",
-    TransferDirection.DEVICE_TO_DEVICE: "d2d",
-}
+_H2D = TransferDirection.HOST_TO_DEVICE
+_D2H = TransferDirection.DEVICE_TO_HOST
+_EVICTION = TransferReason.EVICTION
+_FAULT = TransferReason.FAULT_MIGRATION
+_PREFETCH = TransferReason.PREFETCH
 
 
-def _record_buckets(record) -> List:
+def _direction_key(direction) -> str:
+    # Identity tests: hashing an Enum member is a Python-level call.
+    if direction is _H2D:
+        return "h2d"
+    if direction is _D2H:
+        return "d2h"
+    return "d2d"
+
+
+def _segments(record):
     """``(name, nbytes)`` attribution of one record.
 
     Records tagged at record time carry exact per-buffer ``segments``;
     blockless transfers (``raw_transfer``) land in :data:`RAW_BUCKET`.
     """
-    if record.segments:
-        return list(record.segments)
-    return [(RAW_BUCKET, record.nbytes)]
+    return record.segments or ((RAW_BUCKET, record.nbytes),)
 
 
 def per_buffer_transfer_totals(runtime) -> Dict[str, Dict[str, int]]:
@@ -71,9 +78,11 @@ def per_buffer_transfer_totals(runtime) -> Dict[str, Dict[str, int]]:
     """
     totals: Dict[str, Dict[str, int]] = {}
     for record in runtime.driver.traffic.records:
-        key = _DIRECTION_KEYS[record.direction]
-        for name, nbytes in _record_buckets(record):
-            bucket = totals.setdefault(name, {"h2d": 0, "d2h": 0, "d2d": 0})
+        key = _direction_key(record.direction)
+        for name, nbytes in _segments(record):
+            bucket = totals.get(name)
+            if bucket is None:
+                bucket = totals[name] = {"h2d": 0, "d2h": 0, "d2d": 0}
             bucket[key] += nbytes
     return totals
 
@@ -84,7 +93,94 @@ def _fate_split(tally: Dict[str, int]) -> Dict[str, int]:
     return out
 
 
-def attribution_report(runtime) -> Dict[str, Any]:
+def attribution_summary(runtime) -> Dict[str, Any]:
+    """Compact attribution summary for sweep results and ``/run``.
+
+    The ``complete`` flag, the ``waste`` block and the per-buffer
+    direction/fate totals of :func:`attribution_report` (see there for
+    the fields) — small enough to ride inside every cached
+    :class:`~repro.harness.results.ExperimentResult`.  One walk over the
+    records, which allocates only a row per new buffer.
+    """
+    traffic = runtime.driver.traffic
+    rmt = runtime.driver.rmt
+    records = traffic.records
+    record_fates = rmt.record_fates
+    by_buffer: Dict[str, Dict[str, int]] = {}
+    dead_writeback = 0
+    thrash_refetch = 0
+    evicted_outstanding: Dict[str, int] = {}
+
+    for record in records:
+        direction = record.direction
+        key = _direction_key(direction)
+        reason = record.reason
+        writeback = reason is _EVICTION
+        if writeback:
+            tally = record_fates.get(id(record))
+            if tally:
+                useful = tally.get(FATE_USEFUL, 0)
+                dead_writeback += sum(tally.values()) - useful
+            writeback = direction is _D2H
+        refetch = direction is _H2D and (
+            reason is _FAULT or reason is _PREFETCH
+        )
+        for name, nbytes in _segments(record):
+            bucket = by_buffer.get(name)
+            if bucket is None:
+                bucket = by_buffer[name] = {"h2d": 0, "d2h": 0, "d2d": 0}
+            bucket[key] += nbytes
+            if writeback:
+                evicted_outstanding[name] = (
+                    evicted_outstanding.get(name, 0) + nbytes
+                )
+            elif refetch:
+                outstanding = evicted_outstanding.get(name, 0)
+                if outstanding:
+                    hit = min(outstanding, nbytes)
+                    thrash_refetch += hit
+                    evicted_outstanding[name] = outstanding - hit
+
+    # Every fate credit lands in one record tally and in its owner's
+    # buffer tally, so the buffer tallies also give the fate totals.
+    fate_totals = {fate: 0 for fate in _FATES}
+    for name, tally in rmt.buffer_fates.items():
+        bucket = by_buffer.get(name)
+        if bucket is None:
+            bucket = by_buffer[name] = {"h2d": 0, "d2h": 0, "d2d": 0}
+        bucket.update(_fate_split(tally))
+        for fate, nbytes in tally.items():
+            fate_totals[fate] += nbytes
+    for bucket in by_buffer.values():
+        if "useful" not in bucket:
+            bucket.update(_fate_split({}))
+
+    classified = sum(fate_totals.values())
+    useful = fate_totals[FATE_USEFUL]
+    return {
+        "complete": bool(records) and len(records) == traffic.transfer_count,
+        "waste": {
+            "useful_bytes": useful,
+            "overwritten_bytes": fate_totals[FATE_OVERWRITTEN],
+            "discarded_bytes": fate_totals[FATE_DISCARDED],
+            "unused_bytes": fate_totals[FATE_UNUSED],
+            "redundant_bytes": classified - useful,
+            "pending_bytes": rmt.pending_record_bytes,
+            "dead_writeback_bytes": dead_writeback,
+            "thrash_refetch_bytes": thrash_refetch,
+            "redundant_fraction": (
+                (classified - useful) / classified if classified else 0.0
+            ),
+        },
+        "by_buffer": by_buffer,
+    }
+
+
+def _group_row() -> Dict[str, int]:
+    return {"h2d": 0, "d2h": 0, "d2d": 0, "useful": 0, "redundant": 0}
+
+
+def attribution_report(runtime, summary=None) -> Dict[str, Any]:
     """Full byte-attribution and waste-analysis report for one run.
 
     Returns a plain-JSON dict::
@@ -110,66 +206,43 @@ def attribution_report(runtime) -> Dict[str, Any]:
       buffer bytes previously evicted, the re-fetch half of a thrash
       cycle (byte-granular per buffer, so a lower bound on true
       block-level thrash).
+
+    ``complete``, ``by_buffer`` and ``waste`` are those of
+    :func:`attribution_summary`; pass the run's ``summary`` (its
+    ``ExperimentResult.attribution``) to reuse it instead of building
+    it again.  The report then shares those dicts with it.
     """
+    if summary is None:
+        summary = attribution_summary(runtime)
     traffic = runtime.driver.traffic
-    rmt = runtime.driver.rmt
-    records = traffic.records
-    complete = bool(records) and len(records) == traffic.transfer_count
-
-    by_buffer: Dict[str, Dict[str, int]] = {}
+    record_fates = runtime.driver.rmt.record_fates
     by_phase: Dict[str, Dict[str, int]] = {}
-    by_reason: Dict[str, Dict[str, int]] = {}
-    dead_writeback = 0
-    thrash_refetch = 0
-    evicted_outstanding: Dict[str, int] = {}
-    refetch_reasons = (TransferReason.FAULT_MIGRATION, TransferReason.PREFETCH)
+    by_reason: Dict[TransferReason, Dict[str, int]] = {}
 
-    for record in records:
-        key = _DIRECTION_KEYS[record.direction]
-        fates = rmt.fates_for(record)
-        useful = fates.get(FATE_USEFUL, 0)
-        redundant = sum(fates.get(f, 0) for f in _REDUNDANT_FATES)
-        for group, label in (
-            (by_phase, record.phase),
-            (by_reason, record.reason.value),
-        ):
-            bucket = group.setdefault(
-                label,
-                {"h2d": 0, "d2h": 0, "d2d": 0, "useful": 0, "redundant": 0},
-            )
-            bucket[key] += record.nbytes
-            bucket["useful"] += useful
-            bucket["redundant"] += redundant
-        for name, nbytes in _record_buckets(record):
-            bucket = by_buffer.setdefault(name, {"h2d": 0, "d2h": 0, "d2d": 0})
-            bucket[key] += nbytes
-            if record.reason is TransferReason.EVICTION and key == "d2h":
-                evicted_outstanding[name] = (
-                    evicted_outstanding.get(name, 0) + nbytes
-                )
-            elif key == "h2d" and record.reason in refetch_reasons:
-                outstanding = evicted_outstanding.get(name, 0)
-                if outstanding:
-                    hit = min(outstanding, nbytes)
-                    thrash_refetch += hit
-                    evicted_outstanding[name] = outstanding - hit
-        if record.reason is TransferReason.EVICTION:
-            dead_writeback += redundant
+    for record in traffic.records:
+        key = _direction_key(record.direction)
+        nbytes = record.nbytes
+        tally = record_fates.get(id(record))
+        if tally:
+            useful = tally.get(FATE_USEFUL, 0)
+            redundant = sum(tally.values()) - useful
+        else:
+            useful = redundant = 0
+        row = by_phase.get(record.phase)
+        if row is None:
+            row = by_phase[record.phase] = _group_row()
+        row[key] += nbytes
+        row["useful"] += useful
+        row["redundant"] += redundant
+        row = by_reason.get(record.reason)
+        if row is None:
+            row = by_reason[record.reason] = _group_row()
+        row[key] += nbytes
+        row["useful"] += useful
+        row["redundant"] += redundant
 
-    for name, tally in rmt.buffer_fates.items():
-        bucket = by_buffer.setdefault(name, {"h2d": 0, "d2h": 0, "d2d": 0})
-        bucket.update(_fate_split(tally))
-    for bucket in by_buffer.values():
-        if "useful" not in bucket:
-            bucket.update(_fate_split({}))
-
-    fate_totals = {fate: 0 for fate in _FATES}
-    for tally in rmt.record_fates.values():
-        for fate, nbytes in tally.items():
-            fate_totals[fate] += nbytes
-    classified = sum(fate_totals.values())
     return {
-        "complete": complete,
+        "complete": summary["complete"],
         "totals": {
             "bytes_h2d": traffic.bytes_h2d,
             "bytes_d2h": traffic.bytes_d2h,
@@ -178,37 +251,10 @@ def attribution_report(runtime) -> Dict[str, Any]:
             "block_bytes": traffic.block_bytes,
             "raw_bytes": traffic.total_bytes - traffic.block_bytes,
         },
-        "by_buffer": by_buffer,
+        "by_buffer": summary["by_buffer"],
         "by_phase": by_phase,
-        "by_reason": by_reason,
-        "waste": {
-            "useful_bytes": fate_totals[FATE_USEFUL],
-            "overwritten_bytes": fate_totals[FATE_OVERWRITTEN],
-            "discarded_bytes": fate_totals[FATE_DISCARDED],
-            "unused_bytes": fate_totals[FATE_UNUSED],
-            "redundant_bytes": classified - fate_totals[FATE_USEFUL],
-            "pending_bytes": rmt.pending_record_bytes,
-            "dead_writeback_bytes": dead_writeback,
-            "thrash_refetch_bytes": thrash_refetch,
-            "redundant_fraction": (
-                (classified - fate_totals[FATE_USEFUL]) / classified
-                if classified
-                else 0.0
-            ),
+        "by_reason": {
+            reason.value: row for reason, row in by_reason.items()
         },
-    }
-
-
-def attribution_summary(runtime) -> Dict[str, Any]:
-    """Compact attribution summary for sweep results and ``/run``.
-
-    The ``waste`` block plus per-buffer direction/fate totals — small
-    enough to ride inside every cached
-    :class:`~repro.harness.results.ExperimentResult`.
-    """
-    report = attribution_report(runtime)
-    return {
-        "complete": report["complete"],
-        "waste": report["waste"],
-        "by_buffer": report["by_buffer"],
+        "waste": summary["waste"],
     }

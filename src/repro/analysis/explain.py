@@ -15,6 +15,11 @@ Three entry points behind the CLI command:
 - :func:`diff_reports` — structural diff of two saved explain reports
   (``repro explain --diff run_a.json run_b.json``).
 
+Both run as one collector epoch
+(:class:`~repro.harness.pipeline.collector_epoch`): the traced run, the
+analyses and the replays nest inside it, so the cyclic collector stays
+off until the report is built and runs once, on entry.
+
 Everything heavy (harness, workloads) is imported lazily so
 ``repro.analysis`` stays importable from low-level modules.
 """
@@ -84,6 +89,16 @@ def explain_point(point, estimate_savings: bool = True) -> Dict[str, Any]:
     savings of applying them, priced by replaying the recorded op
     stream with the inferred discards inserted.
     """
+    from repro.harness.pipeline import collector_epoch
+
+    # The run's object graph dies with _explain's frame, before the
+    # epoch switches the collector back on; the first collection after
+    # the epoch then frees its cycles instead of traversing it live.
+    with collector_epoch():
+        return _explain(point, estimate_savings)
+
+
+def _explain(point, estimate_savings: bool) -> Dict[str, Any]:
     result, tracer, runtime = _traced_with_records(point)
     report: Dict[str, Any] = {
         "point": {
@@ -102,7 +117,10 @@ def explain_point(point, estimate_savings: bool = True) -> Dict[str, Any]:
     }
     if runtime is None:
         return report
-    report["attribution"] = attribution_report(runtime)
+    # The result row already carries the run's attribution summary.
+    report["attribution"] = attribution_report(
+        runtime, None if result is None else result.attribution
+    )
     trace = _replay_trace_of(tracer)
     system = point.system
     if System(system) is System.UVM_OPT:
@@ -142,6 +160,13 @@ def check_discard_inference(
 
         base - replay(infer(base))  ==  base - hand     (h2d and d2h)
     """
+    from repro.harness.pipeline import collector_epoch
+
+    with collector_epoch():
+        return _check(base_point, hand_point, system)
+
+
+def _check(base_point, hand_point, system: str) -> Dict[str, Any]:
     from repro.harness.pipeline import plan_for, simulate
     from repro.workloads.replay import run_replay
 

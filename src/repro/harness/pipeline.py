@@ -5,7 +5,8 @@ Every exact experiment point — a sweep point, a served request, a
 cell — is simulated by :func:`simulate`, which runs one :class:`Plan`
 through a single protocol:
 
-0. open a collector epoch (below) that spans steps 1–4;
+0. enter a collector epoch (:class:`collector_epoch`) that spans
+   steps 1–4;
 1. start from the setup prefix: simulated cold by :func:`build_prefix`,
    or forked from an :class:`~repro.engine.snapshot.EngineSnapshot` of
    one, with the plan's driver config re-applied
@@ -25,16 +26,21 @@ cold.  :func:`plan_for` turns a :class:`~repro.harness.sweep.SweepPoint`
 into the same plan; the replay frontend builds its plan from a trace's
 metadata with the same GPU and link tables.
 
-The collector epoch: each :func:`simulate` call collects the young
-generations once on entry, which frees the previous run's object graph,
-and then suspends the cyclic garbage collector until it returns.
-Finished processes and released requests hold no reference to
-themselves, so reference counting frees the per-op objects as the run
-goes; what stays cyclic (blocks and their buffers, the event pools, a
-resource and its spare requests) does not grow with the run's length.
-The epoch cannot reach simulated state: nothing under ``repro`` defines
-a finalizer or holds a weak reference, so when a cycle is freed changes
-no simulated byte.
+The collector epoch: the outermost epoch on a thread collects the
+young generations once on entry, which frees the previous run's object
+graph, and then suspends the cyclic garbage collector until it leaves.
+A caller that runs analyses around its simulations (``repro explain``
+traces a point, attributes its bytes, infers discards and replays them)
+opens the epoch itself, so its :func:`simulate` calls nest inside it and
+neither collect nor switch the collector.  A nested collection would
+promote the still-live traced run into the oldest generation, where it
+would outlive the point.  Finished processes and released requests hold
+no reference to themselves, so reference counting frees the per-op
+objects as the run goes; what stays cyclic (blocks and their buffers,
+the event pools, a resource and its spare requests) does not grow with
+the run's length.  The epoch cannot reach simulated state: nothing
+under ``repro`` defines a finalizer or holds a weak reference, so when a
+cycle is freed changes no simulated byte.
 """
 
 from __future__ import annotations
@@ -74,6 +80,12 @@ LINK_FACTORIES: Dict[str, Callable[[], Link]] = {
 #: step, so concurrent :func:`simulate` calls (the thread executor of
 #: ``repro serve``) leave the collector as the first of them found it.
 _COLLECTOR_LOCK = threading.Lock()
+
+#: Per-thread depth of :class:`collector_epoch`.  Nesting is tracked per
+#: thread, not read from ``gc.isenabled()``: under the thread executor
+#: another thread's epoch may have the collector off, and an entry that
+#: skipped its collection for that reason would leave its garbage behind.
+_EPOCH = threading.local()
 
 
 @dataclass
@@ -297,6 +309,38 @@ def _install_chaos(runtime: CudaRuntime, items):
     return ChaosInjector(ChaosConfig.from_items(items)).install(runtime)
 
 
+class collector_epoch:
+    """One collector epoch (step 0 of the module's protocol), as a
+    ``with`` block.
+
+    The outermost epoch on a thread collects the young generations on
+    entry and suspends the cyclic collector until it leaves; it
+    re-enables the collector only if it was enabled on entry, so a
+    caller that disabled it keeps its own setting.  A nested epoch does
+    neither: the outer one collects and switches for the whole span.
+    """
+
+    __slots__ = ("_outermost", "_restore")
+
+    def __enter__(self) -> None:
+        depth = getattr(_EPOCH, "depth", 0)
+        self._outermost = depth == 0
+        if self._outermost:
+            gc.collect(1)
+            with _COLLECTOR_LOCK:
+                self._restore = gc.isenabled()
+                gc.disable()
+        _EPOCH.depth = depth + 1
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # Allocates nothing once the collector is back on, so the
+        # collection that frees the epoch's cycles runs in the caller.
+        _EPOCH.depth -= 1
+        if self._outermost and self._restore:
+            with _COLLECTOR_LOCK:
+                gc.enable()
+
+
 def simulate(
     plan: Plan,
     snapshot: Optional["EngineSnapshot"] = None,
@@ -310,18 +354,14 @@ def simulate(
     paper's No-UVM crash); ``runtime`` is ``None`` when the prefix
     itself ran out of memory.
 
-    The call is one collector epoch (step 0 of the module's protocol):
-    it collects the young generations on entry, runs the prefix or
-    fork, the body and the result assembly with the cyclic collector
-    suspended, and re-enables the collector on the way out only if it
-    was enabled on entry, so a nested call or a caller that disabled it
-    keeps its own setting.
+    The call is one :class:`collector_epoch`: the prefix or fork, the
+    body and the result assembly run with the cyclic collector
+    suspended.  Called outside any epoch (a sweep point, a served
+    request, ``repro replay``) it collects on entry and restores the
+    caller's setting on the way out; called inside a caller's epoch it
+    leaves both to that caller.
     """
-    gc.collect(1)
-    with _COLLECTOR_LOCK:
-        collector_enabled = gc.isenabled()
-        gc.disable()
-    try:
+    with collector_epoch():
         if snapshot is None:
             try:
                 runtime = build_prefix(plan)
@@ -354,7 +394,3 @@ def simulate(
             if tracer is not None:
                 tracer.uninstall()
         return result, runtime
-    finally:
-        if collector_enabled:
-            with _COLLECTOR_LOCK:
-                gc.enable()

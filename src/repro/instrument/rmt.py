@@ -186,11 +186,6 @@ class RmtClassifier:
             self._resolve(block_index, TransferFate.REDUNDANT)
         self._finalized = True
 
-    def fates_for(self, record: TransferRecord) -> Dict[str, int]:
-        """Resolved fate tally for one retained record (may be partial
-        until :meth:`finalize`); bytes not yet resolved are pending."""
-        return dict(self.record_fates.get(id(record), {}))
-
     @property
     def pending_bytes(self) -> int:
         """Bytes of tracked transfers not yet resolved useful/redundant."""

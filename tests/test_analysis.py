@@ -279,6 +279,37 @@ class TestExplainReports:
         assert diff["by_reason"] == {}
         assert "diff:" in render_diff(diff)
 
+    def test_attribution_is_built_once_per_run(self, monkeypatch):
+        # explain reuses the summary its result row already carries, so
+        # one point builds one report, not a second one for the summary.
+        import repro.analysis.attribution as attribution
+        import repro.analysis.explain as explain
+
+        entered = []
+        build = attribution.attribution_report
+
+        def counted(*args, **kwargs):
+            entered.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(attribution, "attribution_report", counted)
+        monkeypatch.setattr(explain, "attribution_report", counted)
+        report = explain_point(point("reduction", scale=CHECK_SCALE))
+        assert report["estimated_savings"]
+        assert len(entered) == 1
+
+    def test_report_reuses_the_summary_it_is_given(self, cold):
+        _, _, runtime = cold
+        summary = attribution_summary(runtime)
+        report = attribution_report(runtime, summary)
+        assert report == attribution_report(runtime)
+        assert report["by_buffer"] is summary["by_buffer"]
+        assert report["waste"] is summary["waste"]
+        assert list(report) == [
+            "complete", "totals", "by_buffer", "by_phase", "by_reason",
+            "waste",
+        ]
+
     def test_diff_tracks_byte_deltas(self, report):
         import copy
 

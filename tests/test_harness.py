@@ -11,6 +11,7 @@ from conftest import tiny_gpu
 
 from repro.cuda.runtime import CudaRuntime
 from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.analysis.explain import explain_point
 from repro.harness import (
     DiscardPolicy,
     ExperimentResult,
@@ -19,7 +20,7 @@ from repro.harness import (
     apply_oversubscription,
     occupant_bytes,
 )
-from repro.harness.pipeline import Plan, simulate
+from repro.harness.pipeline import Plan, collector_epoch, simulate
 from repro.harness.runner import ratio_label, run_uvm_experiment
 from repro.harness.sweep import SweepPoint, execute_point
 from repro.interconnect import pcie_gen4
@@ -197,6 +198,27 @@ DARKNET_POINT = SweepPoint(
     "dl:darknet19", "UvmDiscard", batch_size=360, scale=1 / 32, batches=2
 )
 
+#: A point whose explain report prices inferred discards by a replay, so
+#: ``explain_point`` runs two simulations and the analyses between them.
+EXPLAIN_POINT = SweepPoint("reduction", "UVM-opt", ratio=2.0, scale=1 / 32)
+
+
+def _collections_during(call):
+    """``call()``'s result and the number of collections started in it."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        result = call()
+        collections = len(starts)
+    finally:
+        gc.callbacks.remove(count)
+    return result, collections
+
 
 class TestCollectorEpoch:
     """Each simulate() call is one collector epoch: the cyclic collector
@@ -328,3 +350,112 @@ class TestCollectorEpoch:
             assert execute_point(DARKNET_POINT)
             left.append(len(gc.get_objects()) - before)
         assert max(left) <= 1.02 * left[1], left
+
+    def test_another_threads_epoch_does_not_skip_this_entry(self):
+        # Nesting is per thread: with thread A inside its epoch (the
+        # collector off), a simulate() on this thread is still outermost
+        # here and collects on entry.
+        a_inside = threading.Event()
+        a_may_leave = threading.Event()
+
+        def held_body(cuda):
+            a_inside.set()
+            a_may_leave.wait(timeout=30)
+            yield from cuda.synchronize()
+
+        a = threading.Thread(
+            target=simulate, args=(_small_plan(body=held_body),)
+        )
+        a.start()
+        try:
+            assert a_inside.wait(timeout=30)
+            assert not gc.isenabled()
+            result, collections = _collections_during(
+                lambda: simulate(_small_plan())
+            )
+        finally:
+            a_may_leave.set()
+            a.join(timeout=60)
+        assert result[0] is not None
+        assert collections == 1
+        assert gc.isenabled()
+
+
+class TestExplainEpoch:
+    """``explain_point`` is one collector epoch: the traced run, the
+    analyses and the replay nest inside it, so it collects once, on
+    entry, and the collector stays off until the report is built."""
+
+    def test_one_explain_point_runs_one_collection(self):
+        # The collection that frees the point's cycles runs at the
+        # caller's next allocation, once the collector is back on.
+        report, collections = _collections_during(
+            lambda: explain_point(EXPLAIN_POINT)
+        )
+        assert any(report["estimated_savings"].values())
+        assert collections == 1
+        assert gc.isenabled()
+
+    def test_collector_is_off_inside_the_analyses(self, monkeypatch):
+        import repro.analysis.explain as explain
+
+        seen = []
+        infer = explain.infer_discards
+
+        def watched_infer(trace, system):
+            seen.append(gc.isenabled())
+            return infer(trace, system)
+
+        monkeypatch.setattr(explain, "infer_discards", watched_infer)
+        explain_point(EXPLAIN_POINT)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_a_prefix_oom(self, monkeypatch):
+        import repro.harness.pipeline as pipeline
+
+        def no_room(plan):
+            raise OutOfMemoryError("prefix does not fit")
+
+        monkeypatch.setattr(pipeline, "build_prefix", no_room)
+        report = explain_point(EXPLAIN_POINT)
+        assert report["oom"] and report["attribution"] is None
+        assert gc.isenabled()
+
+    def test_restored_after_an_analysis_that_raises(self, monkeypatch):
+        import repro.analysis.explain as explain
+
+        def broken_infer(trace, system):
+            raise ValueError("inference failed")
+
+        monkeypatch.setattr(explain, "infer_discards", broken_infer)
+        with pytest.raises(ValueError, match="inference failed"):
+            explain_point(EXPLAIN_POINT)
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            assert explain_point(EXPLAIN_POINT)["estimated_savings"]
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_nested_epoch_leaves_the_switch_to_the_outer_one(self):
+        with collector_epoch():
+            with collector_epoch():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_repeated_explain_points_leave_no_growing_graph(self):
+        # A nested collection would promote each call's live traced run
+        # into the oldest generation, which almost never runs: the live
+        # count would then grow by the run's cyclic graph per call.
+        gc.collect()
+        before = len(gc.get_objects())
+        left = []
+        for _ in range(12):
+            explain_point(EXPLAIN_POINT)
+            left.append(len(gc.get_objects()) - before)
+        assert max(left[1:]) <= 1.02 * left[1], left

@@ -171,7 +171,7 @@ class TestRmtClassifier:
         rmt.on_reads(_blocks(1))
         rmt.on_overwrites(_blocks(2))
         rmt.on_discards(_blocks(3))
-        assert rmt.fates_for(record) == {
+        assert rmt.record_fates[id(record)] == {
             FATE_USEFUL: 100,
             FATE_OVERWRITTEN: 100,
             FATE_DISCARDED: 100,
