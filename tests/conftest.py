@@ -56,9 +56,13 @@ def update_golden(request) -> bool:
 def collector_off():
     """Suspend the cyclic garbage collector for one test, starting with
     no garbage pending, so ``gc.collect()`` counts only the cycles the
-    test itself left behind; the previous setting is restored after."""
+    test itself left behind; the previous setting is restored after.
+
+    Collects until a pass frees nothing: objects that the finalizers of
+    suspended generators touch survive the pass that runs them."""
     enabled = gc.isenabled()
-    gc.collect()
+    while gc.collect():
+        pass
     gc.disable()
     yield
     if enabled:
