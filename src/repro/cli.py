@@ -619,11 +619,19 @@ def cmd_explain(args) -> int:
             else:
                 print(render_check(check, name))
             return 0 if check["ok"] else 1
+        out = pathlib.Path(args.out) if args.out else None
+        if out is not None and not out.parent.is_dir():
+            # Refuse before simulating, not after.
+            print(f"cannot write {out}: no directory {out.parent}",
+                  file=sys.stderr)
+            return 2
         report = explain_point(point_for(system.value))
-        if args.out:
-            pathlib.Path(args.out).write_text(
-                json.dumps(report, indent=2) + "\n"
-            )
+        if out is not None:
+            try:
+                out.write_text(json.dumps(report, indent=2) + "\n")
+            except OSError as exc:
+                print(f"cannot write {out}: {exc}", file=sys.stderr)
+                return 2
         if args.json:
             print(json.dumps(report, indent=2))
         else:

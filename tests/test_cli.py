@@ -405,6 +405,36 @@ class TestExplain:
         ) == 2
         assert "cannot load" in capsys.readouterr().err
 
+    def test_out_into_a_missing_directory_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.analysis.explain as explain
+
+        def not_simulated(point):
+            raise AssertionError("simulated before refusing --out")
+
+        monkeypatch.setattr(explain, "explain_point", not_simulated)
+        out = tmp_path / "missing" / "a.json"
+        assert main(
+            ["explain", "reduction", "--scale", "0.03125", "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {out}")
+        assert len(err.splitlines()) == 1
+        assert not out.parent.exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # A directory in the way: the write itself fails after the run.
+        out = tmp_path / "a.json"
+        out.mkdir()
+        assert main(
+            ["explain", "reduction", "--scale", "0.03125", "--link", "gen3",
+             "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {out}")
+        assert len(err.splitlines()) == 1
+
 
 class TestReplay:
     @pytest.fixture(scope="class")
