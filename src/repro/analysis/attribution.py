@@ -40,20 +40,13 @@ RAW_BUCKET = "(raw)"
 _FATES = (FATE_USEFUL, FATE_OVERWRITTEN, FATE_DISCARDED, FATE_UNUSED)
 _REDUNDANT_FATES = (FATE_OVERWRITTEN, FATE_DISCARDED, FATE_UNUSED)
 
-_H2D = TransferDirection.HOST_TO_DEVICE
-_D2H = TransferDirection.DEVICE_TO_HOST
-_EVICTION = TransferReason.EVICTION
-_FAULT = TransferReason.FAULT_MIGRATION
-_PREFETCH = TransferReason.PREFETCH
+_DIRECTION_KEYS = {
+    TransferDirection.HOST_TO_DEVICE: "h2d",
+    TransferDirection.DEVICE_TO_HOST: "d2h",
+    TransferDirection.DEVICE_TO_DEVICE: "d2d",
+}
 
-
-def _direction_key(direction) -> str:
-    # Identity tests: hashing an Enum member is a Python-level call.
-    if direction is _H2D:
-        return "h2d"
-    if direction is _D2H:
-        return "d2h"
-    return "d2d"
+_REFETCH_REASONS = (TransferReason.FAULT_MIGRATION, TransferReason.PREFETCH)
 
 
 def _segments(record):
@@ -78,7 +71,7 @@ def per_buffer_transfer_totals(runtime) -> Dict[str, Dict[str, int]]:
     """
     totals: Dict[str, Dict[str, int]] = {}
     for record in runtime.driver.traffic.records:
-        key = _direction_key(record.direction)
+        key = _DIRECTION_KEYS[record.direction]
         for name, nbytes in _segments(record):
             bucket = totals.get(name)
             if bucket is None:
@@ -93,14 +86,96 @@ def _fate_split(tally: Dict[str, int]) -> Dict[str, int]:
     return out
 
 
+def _group_row() -> Dict[str, int]:
+    return {"h2d": 0, "d2h": 0, "d2d": 0, "useful": 0, "redundant": 0}
+
+
+def attribution_report(runtime, summary=None) -> Dict[str, Any]:
+    """Full byte-attribution and waste-analysis report for one run.
+
+    Returns a plain-JSON dict::
+
+        {
+          "complete": bool,       # a record exists for every transfer
+          "totals": {...},        # recorder running totals
+          "by_buffer": {name: {h2d, d2h, d2d, useful, overwritten,
+                               discarded, unused, redundant}},
+          "by_phase":  {phase: {h2d, d2h, d2d, useful, redundant}},
+          "by_reason": {reason: {h2d, d2h, d2d, useful, redundant}},
+          "waste": {...},         # aggregate fates + derived causes
+        }
+
+    Fate classification follows the RMT rules (§3): a transferred
+    byte is *useful* once read at its destination, *overwritten* /
+    *discarded* / *unused* otherwise.  Two derived causes decompose
+    the waste further:
+
+    - ``dead_writeback_bytes`` — eviction-reason bytes whose moved
+      data was never read again: writebacks of dead data.
+    - ``thrash_refetch_bytes`` — fault/prefetch H2D bytes re-fetching
+      buffer bytes previously evicted, the re-fetch half of a thrash
+      cycle (byte-granular per buffer, so a lower bound on true
+      block-level thrash).
+
+    ``complete``, ``by_buffer`` and ``waste`` are those of
+    :func:`attribution_summary`; pass the run's ``summary`` (its
+    ``ExperimentResult.attribution``) to reuse it instead of building
+    it again.  The report then shares those dicts with it.
+    """
+    if summary is None:
+        summary = attribution_summary(runtime)
+    traffic = runtime.driver.traffic
+    record_fates = runtime.driver.rmt.record_fates
+    by_phase: Dict[str, Dict[str, int]] = {}
+    by_reason: Dict[str, Dict[str, int]] = {}
+
+    for record in traffic.records:
+        key = _DIRECTION_KEYS[record.direction]
+        nbytes = record.nbytes
+        tally = record_fates.get(id(record))
+        if tally:
+            useful = tally.get(FATE_USEFUL, 0)
+            redundant = sum(tally.values()) - useful
+        else:
+            useful = redundant = 0
+        row = by_phase.get(record.phase)
+        if row is None:
+            row = by_phase[record.phase] = _group_row()
+        row[key] += nbytes
+        row["useful"] += useful
+        row["redundant"] += redundant
+        row = by_reason.get(record.reason.value)
+        if row is None:
+            row = by_reason[record.reason.value] = _group_row()
+        row[key] += nbytes
+        row["useful"] += useful
+        row["redundant"] += redundant
+
+    return {
+        "complete": summary["complete"],
+        "totals": {
+            "bytes_h2d": traffic.bytes_h2d,
+            "bytes_d2h": traffic.bytes_d2h,
+            "bytes_d2d": traffic.bytes_d2d,
+            "transfer_count": traffic.transfer_count,
+            "block_bytes": traffic.block_bytes,
+            "raw_bytes": traffic.total_bytes - traffic.block_bytes,
+        },
+        "by_buffer": summary["by_buffer"],
+        "by_phase": by_phase,
+        "by_reason": by_reason,
+        "waste": summary["waste"],
+    }
+
+
 def attribution_summary(runtime) -> Dict[str, Any]:
     """Compact attribution summary for sweep results and ``/run``.
 
     The ``complete`` flag, the ``waste`` block and the per-buffer
-    direction/fate totals of :func:`attribution_report` (see there for
-    the fields) — small enough to ride inside every cached
+    direction/fate totals of :func:`attribution_report` — small enough
+    to ride inside every cached
     :class:`~repro.harness.results.ExperimentResult`.  One walk over the
-    records, which allocates only a row per new buffer.
+    records, with no dict copied or built per record.
     """
     traffic = runtime.driver.traffic
     rmt = runtime.driver.rmt
@@ -112,19 +187,15 @@ def attribution_summary(runtime) -> Dict[str, Any]:
     evicted_outstanding: Dict[str, int] = {}
 
     for record in records:
-        direction = record.direction
-        key = _direction_key(direction)
+        key = _DIRECTION_KEYS[record.direction]
         reason = record.reason
-        writeback = reason is _EVICTION
-        if writeback:
+        if reason is TransferReason.EVICTION:
             tally = record_fates.get(id(record))
             if tally:
                 useful = tally.get(FATE_USEFUL, 0)
                 dead_writeback += sum(tally.values()) - useful
-            writeback = direction is _D2H
-        refetch = direction is _H2D and (
-            reason is _FAULT or reason is _PREFETCH
-        )
+        writeback = reason is TransferReason.EVICTION and key == "d2h"
+        refetch = key == "h2d" and reason in _REFETCH_REASONS
         for name, nbytes in _segments(record):
             bucket = by_buffer.get(name)
             if bucket is None:
@@ -173,88 +244,4 @@ def attribution_summary(runtime) -> Dict[str, Any]:
             ),
         },
         "by_buffer": by_buffer,
-    }
-
-
-def _group_row() -> Dict[str, int]:
-    return {"h2d": 0, "d2h": 0, "d2d": 0, "useful": 0, "redundant": 0}
-
-
-def attribution_report(runtime, summary=None) -> Dict[str, Any]:
-    """Full byte-attribution and waste-analysis report for one run.
-
-    Returns a plain-JSON dict::
-
-        {
-          "complete": bool,       # a record exists for every transfer
-          "totals": {...},        # recorder running totals
-          "by_buffer": {name: {h2d, d2h, d2d, useful, overwritten,
-                               discarded, unused, redundant}},
-          "by_phase":  {phase: {h2d, d2h, d2d, useful, redundant}},
-          "by_reason": {reason: {h2d, d2h, d2d, useful, redundant}},
-          "waste": {...},         # aggregate fates + derived causes
-        }
-
-    Fate classification follows the RMT rules (§3): a transferred
-    byte is *useful* once read at its destination, *overwritten* /
-    *discarded* / *unused* otherwise.  Two derived causes decompose
-    the waste further:
-
-    - ``dead_writeback_bytes`` — eviction-reason bytes whose moved
-      data was never read again: writebacks of dead data.
-    - ``thrash_refetch_bytes`` — fault/prefetch H2D bytes re-fetching
-      buffer bytes previously evicted, the re-fetch half of a thrash
-      cycle (byte-granular per buffer, so a lower bound on true
-      block-level thrash).
-
-    ``complete``, ``by_buffer`` and ``waste`` are those of
-    :func:`attribution_summary`; pass the run's ``summary`` (its
-    ``ExperimentResult.attribution``) to reuse it instead of building
-    it again.  The report then shares those dicts with it.
-    """
-    if summary is None:
-        summary = attribution_summary(runtime)
-    traffic = runtime.driver.traffic
-    record_fates = runtime.driver.rmt.record_fates
-    by_phase: Dict[str, Dict[str, int]] = {}
-    by_reason: Dict[TransferReason, Dict[str, int]] = {}
-
-    for record in traffic.records:
-        key = _direction_key(record.direction)
-        nbytes = record.nbytes
-        tally = record_fates.get(id(record))
-        if tally:
-            useful = tally.get(FATE_USEFUL, 0)
-            redundant = sum(tally.values()) - useful
-        else:
-            useful = redundant = 0
-        row = by_phase.get(record.phase)
-        if row is None:
-            row = by_phase[record.phase] = _group_row()
-        row[key] += nbytes
-        row["useful"] += useful
-        row["redundant"] += redundant
-        row = by_reason.get(record.reason)
-        if row is None:
-            row = by_reason[record.reason] = _group_row()
-        row[key] += nbytes
-        row["useful"] += useful
-        row["redundant"] += redundant
-
-    return {
-        "complete": summary["complete"],
-        "totals": {
-            "bytes_h2d": traffic.bytes_h2d,
-            "bytes_d2h": traffic.bytes_d2h,
-            "bytes_d2d": traffic.bytes_d2d,
-            "transfer_count": traffic.transfer_count,
-            "block_bytes": traffic.block_bytes,
-            "raw_bytes": traffic.total_bytes - traffic.block_bytes,
-        },
-        "by_buffer": summary["by_buffer"],
-        "by_phase": by_phase,
-        "by_reason": {
-            reason.value: row for reason, row in by_reason.items()
-        },
-        "waste": summary["waste"],
     }

@@ -162,6 +162,7 @@ def check_discard_inference(
     """
     from repro.harness.pipeline import collector_epoch
 
+    # Split like explain_point: the runs die before the epoch ends.
     with collector_epoch():
         return _check(base_point, hand_point, system)
 

@@ -20,7 +20,7 @@ from repro.harness import (
     apply_oversubscription,
     occupant_bytes,
 )
-from repro.harness.pipeline import Plan, collector_epoch, simulate
+from repro.harness.pipeline import Plan, simulate
 from repro.harness.runner import ratio_label, run_uvm_experiment
 from repro.harness.sweep import SweepPoint, execute_point
 from repro.interconnect import pcie_gen4
@@ -440,13 +440,6 @@ class TestExplainEpoch:
             assert not gc.isenabled()
         finally:
             gc.enable()
-
-    def test_nested_epoch_leaves_the_switch_to_the_outer_one(self):
-        with collector_epoch():
-            with collector_epoch():
-                assert not gc.isenabled()
-            assert not gc.isenabled()
-        assert gc.isenabled()
 
     def test_repeated_explain_points_leave_no_growing_graph(self):
         # A nested collection would promote each call's live traced run
