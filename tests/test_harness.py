@@ -380,15 +380,11 @@ class TestCollectorEpoch:
         assert collections == 1
         assert gc.isenabled()
 
-
-class TestExplainEpoch:
-    """``explain_point`` is one collector epoch: the traced run, the
-    analyses and the replay nest inside it, so it collects once, on
-    entry, and the collector stays off until the report is built."""
-
     def test_one_explain_point_runs_one_collection(self):
-        # The collection that frees the point's cycles runs at the
-        # caller's next allocation, once the collector is back on.
+        # explain_point is one epoch: the traced run, the analyses and
+        # the replay nest inside it.  The collection that frees the
+        # point's cycles runs at the caller's next allocation, once the
+        # collector is back on.
         report, collections = _collections_during(
             lambda: explain_point(EXPLAIN_POINT)
         )
@@ -396,7 +392,7 @@ class TestExplainEpoch:
         assert collections == 1
         assert gc.isenabled()
 
-    def test_collector_is_off_inside_the_analyses(self, monkeypatch):
+    def test_collector_is_off_inside_explains_analyses(self, monkeypatch):
         import repro.analysis.explain as explain
 
         seen = []
@@ -411,7 +407,7 @@ class TestExplainEpoch:
         assert seen == [False]
         assert gc.isenabled()
 
-    def test_restored_after_a_prefix_oom(self, monkeypatch):
+    def test_explain_restored_after_a_prefix_oom(self, monkeypatch):
         import repro.harness.pipeline as pipeline
 
         def no_room(plan):
@@ -422,7 +418,9 @@ class TestExplainEpoch:
         assert report["oom"] and report["attribution"] is None
         assert gc.isenabled()
 
-    def test_restored_after_an_analysis_that_raises(self, monkeypatch):
+    def test_explain_restored_after_an_analysis_that_raises(
+        self, monkeypatch
+    ):
         import repro.analysis.explain as explain
 
         def broken_infer(trace, system):
@@ -433,7 +431,7 @@ class TestExplainEpoch:
             explain_point(EXPLAIN_POINT)
         assert gc.isenabled()
 
-    def test_a_disabled_collector_stays_disabled(self):
+    def test_explain_leaves_a_disabled_collector_disabled(self):
         gc.disable()
         try:
             assert explain_point(EXPLAIN_POINT)["estimated_savings"]
