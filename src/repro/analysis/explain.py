@@ -53,12 +53,19 @@ def _with_records(point):
 
 
 def _traced_with_records(point):
-    """Trace ``point`` with transfer records kept.  No report field reads
-    the engine-occupancy samples, so the metrics sampler stays off."""
+    """Trace ``point``'s program channel with transfer records kept.
+
+    The report reads the transfer records and the ``program`` records
+    that :func:`~repro.workloads.replay.tracer_to_replay` lifts, nothing
+    else the tracer could hold: the driver, migration and executor
+    records and the engine-occupancy samples stay off.
+    """
     from repro.harness.tracerun import traced_run
     from repro.instrument.trace import TraceConfig
 
-    return traced_run(_with_records(point), TraceConfig(metrics_cadence=0))
+    return traced_run(
+        _with_records(point), TraceConfig(metrics_cadence=0, program_only=True)
+    )
 
 
 def _replay_trace_of(tracer):

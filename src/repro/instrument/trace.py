@@ -54,14 +54,21 @@ class TraceConfig:
     An untraced run installs no tracer at all and keeps
     :data:`NULL_TRACER` on every instrumented object — it costs nothing
     beyond the dormant attribute checks.
+
+    ``program_only`` limits the tracer to the ``program`` channel, the
+    replayable record of the host program's runtime calls (see
+    :meth:`Tracer.install`).  ``repro explain`` sets it, because its
+    report reads nothing else; ``repro trace``, ``repro run --trace``
+    and ``repro chaos`` keep the whole timeline.
     """
 
-    __slots__ = ("metrics_cadence", "max_records")
+    __slots__ = ("metrics_cadence", "max_records", "program_only")
 
     def __init__(
         self,
         metrics_cadence: int = 256,
         max_records: Optional[int] = None,
+        program_only: bool = False,
     ) -> None:
         if metrics_cadence < 0:
             raise ValueError(f"metrics_cadence must be >= 0, got {metrics_cadence}")
@@ -72,6 +79,9 @@ class TraceConfig:
         #: Record-count ceiling; beyond it new spans are counted as
         #: dropped instead of stored (``None`` = unbounded).
         self.max_records = max_records
+        #: Attach to the runtime and its streams only: the driver, the
+        #: migration engine and the executors keep :data:`NULL_TRACER`.
+        self.program_only = program_only
 
 
 class NullTracer:
@@ -228,15 +238,27 @@ class Tracer:
         Replaces each object's ``tracer`` attribute with ``self`` (saving
         the previous value for :meth:`uninstall`) and, when the config
         asks for it, installs the engine-monitor metrics sampler.
+
+        With ``config.program_only`` the tracer attaches to the runtime
+        and its streams alone, the producers of the ``program`` channel
+        (streams record the cross-stream ``wait`` instants, and keep
+        their ``stream/<name>`` op spans).  The driver, the migration
+        engine and the executors keep :data:`NULL_TRACER` and take
+        their untraced paths: no fault, eviction, wire, discard,
+        revival or kernel record and no histogram sample.  Record ids
+        are positions in :attr:`events`, so such a trace numbers its
+        async ops differently from a full one; the op stream is the
+        same.
         """
         if self._runtime is not None:
             raise RuntimeError("tracer is already installed")
         self._runtime = runtime
-        driver = runtime.driver
-        self._attach(driver)
-        self._attach(driver.migration)
-        for executor in runtime.executors.values():
-            self._attach(executor)
+        if not self.config.program_only:
+            driver = runtime.driver
+            self._attach(driver)
+            self._attach(driver.migration)
+            for executor in runtime.executors.values():
+                self._attach(executor)
         for stream in runtime.streams():
             self._attach(stream)
         # The runtime itself, so streams created after install inherit us.
