@@ -89,6 +89,26 @@ def _write_trace_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
+def _missing_directory(path: pathlib.Path) -> bool:
+    """True, after one stderr line, when ``path``'s directory does not
+    exist: commands check their output paths before any work."""
+    if path.parent.is_dir():
+        return False
+    print(f"cannot write {path}: no directory {path.parent}", file=sys.stderr)
+    return True
+
+
+def _write_text(path: pathlib.Path, text: str) -> bool:
+    """Write ``text`` to ``path``; False, after one stderr line, when the
+    write fails."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _execute_points(
     points: List[SweepPoint], trace: Optional[str]
 ) -> List[ExperimentResult]:
@@ -490,6 +510,13 @@ def cmd_trace(args) -> int:
         return 2
     from repro.harness.tracerun import trace_point
 
+    out = pathlib.Path(args.out)
+    metrics_csv = pathlib.Path(args.metrics_csv) if args.metrics_csv else None
+    # Refuse before simulating, not after.
+    if _missing_directory(out) or (
+        metrics_csv is not None and _missing_directory(metrics_csv)
+    ):
+        return 2
     try:
         system = System(args.system)
         if system is System.NO_UVM:
@@ -515,10 +542,12 @@ def cmd_trace(args) -> int:
         return 2
     # Write both artifacts before any summary printing, so a closed
     # stdout (e.g. piping into head) can never truncate the outputs.
-    tracer.write(args.out)
-    if args.metrics_csv:
-        with open(args.metrics_csv, "w", encoding="utf-8") as handle:
-            handle.write(tracer.metrics.to_csv())
+    if not _write_text(out, tracer.to_json() + "\n"):
+        return 2
+    if metrics_csv is not None and not _write_text(
+        metrics_csv, tracer.metrics.to_csv()
+    ):
+        return 2
     spans = sum(1 for record in tracer.events if record[0] == "X")
     instants = len(tracer.events) - spans
     print(
@@ -620,18 +649,14 @@ def cmd_explain(args) -> int:
                 print(render_check(check, name))
             return 0 if check["ok"] else 1
         out = pathlib.Path(args.out) if args.out else None
-        if out is not None and not out.parent.is_dir():
-            # Refuse before simulating, not after.
-            print(f"cannot write {out}: no directory {out.parent}",
-                  file=sys.stderr)
+        # Refuse before simulating, not after.
+        if out is not None and _missing_directory(out):
             return 2
         report = explain_point(point_for(system.value))
-        if out is not None:
-            try:
-                out.write_text(json.dumps(report, indent=2) + "\n")
-            except OSError as exc:
-                print(f"cannot write {out}: {exc}", file=sys.stderr)
-                return 2
+        if out is not None and not _write_text(
+            out, json.dumps(report, indent=2) + "\n"
+        ):
+            return 2
         if args.json:
             print(json.dumps(report, indent=2))
         else:
@@ -657,17 +682,22 @@ def cmd_replay(args) -> int:
         run_replay,
     )
 
+    out = pathlib.Path(args.convert) if args.convert else None
+    # Refuse before converting, not after.
+    if out is not None and _missing_directory(out):
+        return 2
     try:
         trace = load_replay_trace(args.trace)
     except (ReproError, OSError) as exc:
         print(f"cannot load {args.trace}: {exc}", file=sys.stderr)
         return 2
-    if args.convert:
-        out = pathlib.Path(args.convert)
+    if out is not None:
         if out.suffix == ".csv":
-            out.write_text(replay_trace_to_csv(trace))
+            text = replay_trace_to_csv(trace)
         else:
-            out.write_text(trace.to_json() + "\n")
+            text = trace.to_json() + "\n"
+        if not _write_text(out, text):
+            return 2
         print(
             f"wrote replay trace ({len(trace.buffers)} buffers, "
             f"{len(trace.ops)} ops) to {out}"

@@ -436,6 +436,44 @@ class TestExplain:
         assert len(err.splitlines()) == 1
 
 
+class TestTraceOutputs:
+    """``repro trace`` checks both output paths before it simulates."""
+
+    @pytest.fixture
+    def not_simulated(self, monkeypatch):
+        import repro.harness.tracerun as tracerun
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before refusing an output path")
+
+        monkeypatch.setattr(tracerun, "trace_point", refuse)
+
+    @pytest.mark.parametrize("flag", ["--out", "--metrics-csv"])
+    def test_output_into_a_missing_directory_exits_2(
+        self, flag, tmp_path, capsys, not_simulated
+    ):
+        path = tmp_path / "missing" / "dir" / "t.out"
+        assert main(
+            ["trace", "stencil", "--scale", "0.03125",
+             "--out", str(tmp_path / "t.json"), flag, str(path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot write {path}: no directory {path.parent}\n"
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_metrics_csv_exits_2(self, tmp_path, capsys):
+        # A directory in the way: the write itself fails after the run.
+        csv_path = tmp_path / "m.csv"
+        csv_path.mkdir()
+        assert main(
+            ["trace", "fir", "--scale", "0.01", "--out",
+             str(tmp_path / "t.json"), "--metrics-csv", str(csv_path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {csv_path}: ")
+        assert len(err.splitlines()) == 1
+
+
 class TestReplay:
     @pytest.fixture(scope="class")
     def export(self, tmp_path_factory):
@@ -490,6 +528,29 @@ class TestReplay:
         bare.write_text(json.dumps(doc))
         assert main(["replay", str(bare), "--check"]) == 2
         assert "no expected totals" in capsys.readouterr().err
+
+    def test_convert_into_a_missing_directory_exits_2(
+        self, export, tmp_path, capsys, monkeypatch
+    ):
+        import repro.workloads.replay as replay
+
+        def not_converted(trace):
+            raise AssertionError("converted before refusing --convert")
+
+        monkeypatch.setattr(replay, "replay_trace_to_csv", not_converted)
+        out = tmp_path / "missing" / "dir" / "r.csv"
+        assert main(["replay", str(export), "--convert", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot write {out}: no directory {out.parent}\n"
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_convert_exits_2(self, export, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        out.mkdir()
+        assert main(["replay", str(export), "--convert", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {out}: ")
+        assert len(err.splitlines()) == 1
 
     def test_oom_replay_exits_2(self, export, tmp_path, capsys):
         from repro.workloads.replay import load_replay_trace
