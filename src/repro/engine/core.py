@@ -100,6 +100,8 @@ _TIMEOUT_POOL_LIMIT = 128
 #: Upper bound on the per-environment arena of recycled plain Events.
 _EVENT_POOL_LIMIT = 256
 
+_INF = float("inf")
+
 
 class Event:
     """A one-shot occurrence that processes can wait on.
@@ -321,7 +323,8 @@ class Environment:
     """The simulation environment: virtual clock plus the event queues."""
 
     __slots__ = ("_now", "_heap", "_buckets", "_now_queue", "_sequence",
-                 "_timeout_pool", "_event_pool", "_monitors", "_event_count")
+                 "_timeout_pool", "_event_pool", "_monitors", "_event_count",
+                 "_sole_waiter", "_deadline")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -350,6 +353,12 @@ class Environment:
         # loop pays one truthiness test per event.
         self._monitors: List[Callable[["Environment", int], None]] = []
         self._event_count = 0
+        # What advance() reads of the run loop: whether the event being
+        # dispatched has exactly one callback and is not the sentinel of
+        # run(until=event), and the current run's deadline.  Outside
+        # run() both refuse every advance.
+        self._sole_waiter = False
+        self._deadline = -_INF
 
     @property
     def now(self) -> float:
@@ -437,6 +446,42 @@ class Environment:
             return timeout
         return Timeout(self, delay, value)
 
+    def advance(self, delay: float) -> bool:
+        """Move the clock by ``delay`` in place of a timeout, when no
+        one could tell the difference; return whether it did.
+
+        It does when a ``timeout(delay)`` would be the next event the
+        run loop processes and the caller its only waiter: the call
+        comes from inside :meth:`run`, the event being dispatched has
+        the caller as its one callback and is not the sentinel of
+        ``run(until=event)``, the now-queue is empty, no monitor is
+        installed, ``now < now + delay <=`` the run's deadline, and no
+        scheduled event is due at or before ``now + delay``.  The clock
+        then moves, and the sequence number and the event count that
+        timeout would have taken are used up, so the ``(time, seq)``
+        schedule stays the one the timeout gives.
+
+        Only a process that yields ``timeout(delay)`` right away when
+        this returns ``False`` may call it::
+
+            if not env.advance(delay):
+                yield env.timeout(delay)
+        """
+        if not self._sole_waiter or self._now_queue or self._monitors:
+            return False
+        time = self._now + delay
+        if not self._now < time <= self._deadline:
+            return False
+        heap = self._heap
+        if heap and heap[0] <= time:
+            # A bucket at exactly ``time`` holds older events, which go
+            # first.
+            return False
+        self._now = time
+        self._sequence += 1
+        self._event_count += 1
+        return True
+
     def event(self) -> Event:
         """Create a fresh pending event (arena-recycled when possible)."""
         pool = self._event_pool
@@ -483,70 +528,84 @@ class Environment:
                     f"run(until={deadline}) is before the current time "
                     f"{self._now}"
                 )
-        while sentinel is None or sentinel.callbacks is not None:
-            # The pop rule: a bucketed event goes first only when its
-            # time has been reached *and* its sequence is older than the
-            # now-queue head (whose implicit time is always ``_now``), so
-            # the split representation pops in exact (time, seq) order.
-            # The sequence test decides when a positive delay is too small
-            # to move the float clock: that timeout lands on the current
-            # instant, behind zero-delay events already queued there.
-            if nowq and not (
-                heap
-                and heap[0] <= self._now
-                and buckets[heap[0]][0][0] < nowq[0][0]
-            ):
-                event = nowq.popleft()[1]
-            elif heap:
-                time = heap[0]
-                if deadline is not None and time > deadline:
+        self._deadline = _INF if deadline is None else deadline
+        try:
+            while sentinel is None or sentinel.callbacks is not None:
+                # The pop rule: a bucketed event goes first only when its
+                # time has been reached *and* its sequence is older than
+                # the now-queue head (whose implicit time is always
+                # ``_now``), so the split representation pops in exact
+                # (time, seq) order.  The sequence test decides when a
+                # positive delay is too small to move the float clock:
+                # that timeout lands on the current instant, behind
+                # zero-delay events already queued there.
+                if nowq and not (
+                    heap
+                    and heap[0] <= self._now
+                    and buckets[heap[0]][0][0] < nowq[0][0]
+                ):
+                    event = nowq.popleft()[1]
+                elif heap:
+                    time = heap[0]
+                    if deadline is not None and time > deadline:
+                        break
+                    if time < self._now:
+                        raise SimulationError(
+                            f"time went backwards: {time} < {self._now}"
+                        )
+                    bucket = buckets[time]
+                    event = bucket.pop(0)[1]
+                    if not bucket:
+                        heappop(heap)
+                        del buckets[time]
+                    self._now = time
+                elif sentinel is None:
                     break
-                if time < self._now:
+                else:
                     raise SimulationError(
-                        f"time went backwards: {time} < {self._now}"
+                        "simulation starved before the awaited event fired"
                     )
-                bucket = buckets[time]
-                event = bucket.pop(0)[1]
-                if not bucket:
-                    heappop(heap)
-                    del buckets[time]
-                self._now = time
-            elif sentinel is None:
-                break
-            else:
-                raise SimulationError(
-                    "simulation starved before the awaited event fired"
-                )
-            callbacks = event.callbacks
-            event.callbacks = None  # type: ignore[assignment]
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            # Recycle events nobody references anymore: the only live
-            # references are the loop variable and getrefcount's
-            # argument, so reuse cannot be observed from outside.  Exact
-            # types only — subclasses (Process, Request, AllOf) carry
-            # extra state and stay garbage-collected.
-            cls = type(event)
-            if cls is Timeout:
-                if len(pool) < _TIMEOUT_POOL_LIMIT and getrefcount(event) == 2:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    pool.append(event)
-            elif cls is Event:
-                if len(arena) < _EVENT_POOL_LIMIT and getrefcount(event) == 2:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._value = pending
-                    event._exception = None
-                    arena.append(event)
-            self._event_count += 1
-            if self._monitors:
-                count = self._event_count
-                for monitor in self._monitors:
-                    monitor(self, count)
+                callbacks = event.callbacks
+                event.callbacks = None  # type: ignore[assignment]
+                if len(callbacks) == 1:
+                    self._sole_waiter = event is not sentinel
+                    callbacks[0](event)
+                else:
+                    self._sole_waiter = False
+                    for callback in callbacks:
+                        callback(event)
+                # Recycle events nobody references anymore: the only live
+                # references are the loop variable and getrefcount's
+                # argument, so reuse cannot be observed from outside.
+                # Exact types only — subclasses (Process, Request, AllOf)
+                # carry extra state and stay garbage-collected.
+                cls = type(event)
+                if cls is Timeout:
+                    if (
+                        len(pool) < _TIMEOUT_POOL_LIMIT
+                        and getrefcount(event) == 2
+                    ):
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        pool.append(event)
+                elif cls is Event:
+                    if (
+                        len(arena) < _EVENT_POOL_LIMIT
+                        and getrefcount(event) == 2
+                    ):
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        event._value = pending
+                        event._exception = None
+                        arena.append(event)
+                self._event_count += 1
+                if self._monitors:
+                    count = self._event_count
+                    for monitor in self._monitors:
+                        monitor(self, count)
+        finally:
+            self._sole_waiter = False
+            self._deadline = -_INF
         if sentinel is not None:
             if sentinel._exception is not None:
                 raise sentinel._exception

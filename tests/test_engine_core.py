@@ -294,6 +294,193 @@ class TestRunModes:
         assert env.now == 10.0
 
 
+def _state(env):
+    return env.now, env.event_count, env._sequence
+
+
+def _wait(env, delay, seen):
+    """Wait ``delay`` the way the simulator's hot waits do, recording the
+    state before the advance call, its answer and the state after it."""
+    before = _state(env)
+    advanced = env.advance(delay)
+    seen.append((before, advanced, _state(env)))
+    if not advanced:
+        yield env.timeout(delay)
+
+
+class TestAdvance:
+    """``advance`` moves the clock only when a timeout of that delay
+    would be the next event processed and the caller its only waiter.
+    Each refusal leaves ``now``, ``event_count`` and ``_sequence`` where
+    they were, and the caller's timeout takes the usual path."""
+
+    def test_takes_the_place_of_the_next_timeout(self):
+        env = Environment()
+        seen = []
+
+        def proc():
+            yield from _wait(env, 1.5, seen)
+            yield env.timeout(0.5)
+
+        env.process(proc())
+        env.run()
+        # The bootstrap took sequence 0 and is being dispatched; the
+        # advance uses up sequence 1 and one processed event.
+        assert seen == [((0.0, 0, 1), True, (1.5, 1, 2))]
+        assert _state(env) == (2.0, 4, 4)
+
+        plain = Environment()
+
+        def timed():
+            yield plain.timeout(1.5)
+            yield plain.timeout(0.5)
+
+        plain.process(timed())
+        plain.run()
+        assert _state(plain) == _state(env)
+
+    def test_advances_up_to_the_deadline_inclusive(self):
+        env = Environment()
+        seen = []
+        env.process(_wait(env, 1.0, seen))
+        env.run(until=1.0)
+        assert seen == [((0.0, 0, 1), True, (1.0, 1, 2))]
+
+    def test_refuses_a_zero_delay(self):
+        env = Environment()
+        seen = []
+        env.process(_wait(env, 0.0, seen))
+        env.run()
+        assert seen == [((0.0, 0, 1), False, (0.0, 0, 1))]
+        assert _state(env) == (0.0, 3, 3)
+
+    def test_refuses_a_delay_the_clock_absorbs(self):
+        start = 2.0**53
+        assert start + 0.5 == start
+        env = Environment(start)
+        seen = []
+        env.process(_wait(env, 0.5, seen))
+        env.run()
+        assert seen == [((start, 0, 1), False, (start, 0, 1))]
+        assert _state(env) == (start, 3, 3)
+
+    def test_refuses_behind_a_queued_zero_delay_event(self):
+        env = Environment()
+        seen = []
+
+        def proc():
+            env.event().succeed()
+            yield from _wait(env, 1.0, seen)
+
+        env.process(proc())
+        env.run()
+        assert seen == [((0.0, 0, 2), False, (0.0, 0, 2))]
+        assert _state(env) == (1.0, 4, 4)
+
+    def test_refuses_when_an_event_is_due_at_the_same_time(self):
+        env = Environment()
+        seen = []
+
+        def other():
+            yield env.timeout(1.0)
+
+        env.process(other())
+        env.process(_wait(env, 1.0, seen))
+        env.run()
+        # other's timeout (sequence 2) sits in the bucket at 1.0 and is
+        # older than the caller's would be, so it goes first.
+        assert seen == [((0.0, 1, 3), False, (0.0, 1, 3))]
+        assert _state(env) == (1.0, 6, 6)
+
+    def test_refuses_under_a_monitor(self):
+        env = Environment()
+        ticks = []
+        env.add_monitor(lambda env, count: ticks.append(count))
+        seen = []
+        env.process(_wait(env, 1.0, seen))
+        env.run()
+        assert seen == [((0.0, 0, 1), False, (0.0, 0, 1))]
+        assert ticks == [1, 2, 3]
+
+    def test_refuses_past_the_deadline(self):
+        env = Environment()
+        seen = []
+        env.process(_wait(env, 1.0, seen))
+        env.run(until=0.5)
+        assert seen == [((0.0, 0, 1), False, (0.0, 0, 1))]
+        assert _state(env) == (0.5, 1, 2)
+        env.run()
+        assert _state(env) == (1.0, 3, 3)
+
+    def test_refuses_a_second_waiter(self):
+        env = Environment()
+        fired = env.event()
+        seen = []
+
+        def waiter():
+            yield fired
+            yield from _wait(env, 1.0, seen)
+
+        env.process(waiter())
+        env.process(waiter())
+        fired.succeed()
+        env.run()
+        # Both wait on one event: the first resumed may not run ahead
+        # of the second, which resumes at 0.0 too.
+        assert seen[0] == ((0.0, 2, 3), False, (0.0, 2, 3))
+        assert seen[1] == ((0.0, 2, 4), False, (0.0, 2, 4))
+
+    def test_refuses_on_the_sentinel_dispatch(self):
+        env = Environment()
+        seen = []
+
+        def first():
+            yield env.timeout(0.5)
+
+        target = env.process(first())
+
+        def joiner():
+            yield target
+            yield from _wait(env, 1.0, seen)
+
+        env.process(joiner())
+        env.run(until=target)
+        # The run stops once target is processed, before the joiner's
+        # timeout.
+        assert seen == [((0.5, 3, 4), False, (0.5, 3, 4))]
+        assert _state(env) == (0.5, 4, 5)
+        env.run()
+        assert _state(env) == (1.5, 6, 6)
+
+    def test_refuses_outside_run(self):
+        env = Environment()
+        assert not env.advance(1.0)
+        assert _state(env) == (0.0, 0, 0)
+
+        def stalls():
+            # The last event this run dispatches has one callback.
+            yield env.timeout(1.0)
+            yield env.event()
+
+        stalled = stalls()
+        env.process(stalled)
+        env.run()
+        assert not env.advance(1.0)
+        assert _state(env) == (1.0, 2, 2)
+        stalled.close()
+
+        def fails():
+            yield env.timeout(1.0)
+            raise RuntimeError("boom")
+
+        env.process(fails())
+        with pytest.raises(RuntimeError):
+            env.run()
+        assert not env.advance(1.0)
+        # The dispatch that raised is not counted.
+        assert _state(env) == (2.0, 3, 4)
+
+
 class TestFinishedProcessesLeaveNoCycles:
     """A finished process drops its bound resume callback, so reference
     counting alone frees it (the exception path keeps its traceback,

@@ -2,13 +2,21 @@
 
 :mod:`repro.engine.core` takes shortcuts for speed — a now-queue beside
 per-time buckets, synchronous continuation through processed events,
-try_acquire grants that schedule nothing, and Timeout/Event objects
-recycled under a refcount proof.  None of them may change what a
-program observes.  This module keeps a deliberately plain engine (one
-``heapq`` of ``(time, sequence, event)``, no queues beside it, no pools,
-no inlined paths) and has Hypothesis run small random programs on both,
-comparing every resume's time and value, the per-event monitor ticks,
-the final clock, the event count and any error.
+try_acquire grants that schedule nothing, Timeout/Event objects
+recycled under a refcount proof, and ``advance``, which moves the clock
+in place of a timeout that would be the next event processed.  None of
+them may change what a program observes.  This module keeps a
+deliberately plain engine (one ``heapq`` of ``(time, sequence, event)``,
+no queues beside it, no pools, no inlined paths, and an ``advance``
+that always refuses) and has Hypothesis run small random programs on
+both, comparing every resume's time and value, the per-event monitor
+ticks, the final clock, the event count, the sequence counter and any
+error.
+
+The programs' sleep, hold and child waits go through
+``if not env.advance(d): yield env.timeout(d)``, as the simulator's hot
+waits do.  A monitor switches ``advance`` off, so each program runs
+twice on each engine: once with the tick monitor and once without.
 
 The reference keeps the two rules the engine documents as semantics
 rather than as shortcuts: a process that yields an already-processed
@@ -24,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.engine import Environment, Resource
@@ -61,6 +69,8 @@ class RefEvent:
 
 class RefTimeout(RefEvent):
     def __init__(self, env, delay, value=None):
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(env)
         self.triggered = True
         self.value = value
@@ -182,6 +192,9 @@ class RefEnvironment:
     def add_monitor(self, monitor):
         self.monitors.append(monitor)
 
+    def advance(self, delay):
+        return False
+
     def run(self, until=None):
         sentinel = until if isinstance(until, RefEvent) else None
         deadline = None
@@ -225,25 +238,28 @@ class Boom(Exception):
     pass
 
 
-def execute(engine, program, mode, start):
+def execute(engine, program, mode, start, monitored):
     """Run ``program`` on one engine; return everything it observed."""
     make_env, make_resource = ENGINES[engine]
     env = make_env(start)
     ticks = []
-    env.add_monitor(lambda env, count: ticks.append((count, env.now)))
+    if monitored:
+        env.add_monitor(lambda env, count: ticks.append((count, env.now)))
     # Held only by this list, so a recycling proof that miscounts its
     # references hands a live shared event back out.
     shared = [env.event() for _ in range(4)]
     resources = [make_resource(env, 1), make_resource(env, 2)]
     log = []
     generators = []
+    processes = []
 
     def spawn(generator):
         generators.append(generator)
         return env.process(generator)
 
     def child(tag, delay, raises):
-        yield env.timeout(delay)
+        if not env.advance(delay):
+            yield env.timeout(delay)
         if raises:
             raise Boom(tag)
         return tag
@@ -253,7 +269,10 @@ def execute(engine, program, mode, start):
             kind = step[0]
             try:
                 if kind == "sleep":
-                    outcome = yield env.timeout(step[1], (pid, index))
+                    if env.advance(step[1]):
+                        outcome = (pid, index)
+                    else:
+                        outcome = yield env.timeout(step[1], (pid, index))
                 elif kind == "wait":
                     outcome = yield shared[step[1]]
                 elif kind in ("succeed", "fail"):
@@ -274,20 +293,25 @@ def execute(engine, program, mode, start):
                         request = resource.request()
                     granted = yield request
                     log.append((pid, index, env.now, path, granted is request))
-                    yield env.timeout(delay)
+                    if not env.advance(delay):
+                        yield env.timeout(delay)
                     resource.release(request)
                     outcome = "released"
                 elif kind == "child":
                     tag = f"child {pid}.{index}"
                     outcome = yield spawn(child(tag, step[1], step[2]))
+                elif kind == "join":
+                    outcome = yield processes[step[1] % len(processes)]
                 else:
                     outcome = yield env.all_of([shared[k] for k in step[1]])
-            except Boom as exc:
+            except (Boom, ValueError) as exc:
                 outcome = ("raised", exc.args)
             log.append((pid, index, env.now, outcome))
         return pid
 
-    processes = [spawn(process(pid, steps)) for pid, steps in enumerate(program)]
+    processes += [
+        spawn(process(pid, steps)) for pid, steps in enumerate(program)
+    ]
     error = None
     try:
         if mode == "until first process":
@@ -297,6 +321,9 @@ def execute(engine, program, mode, start):
         env.run()
     except Exception as exc:
         error = (type(exc).__name__, str(exc))
+    # Outside run() nothing is being dispatched, so there is nothing to
+    # advance in place of.
+    log.append(("advance after run", env.advance(0.5), env.now))
     # Close what never finished, so no suspended generator is left for
     # the cyclic collector to finalize: objects a finalizer touches
     # survive that collection, and later tests count cyclic garbage.
@@ -307,18 +334,22 @@ def execute(engine, program, mode, start):
         "ticks": ticks,
         "now": env.now,
         "event_count": env.event_count,
+        "sequence": env.sequence if engine == "reference" else env._sequence,
         "error": error,
     }
 
 
 _delays = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+# A sleep may also ask for a negative delay, which timeout() rejects.
+_sleeps = st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5])
 _shared = st.integers(min_value=0, max_value=3)
 _step = st.one_of(
-    st.tuples(st.just("sleep"), _delays),
+    st.tuples(st.just("sleep"), _sleeps),
     st.tuples(st.just("wait"), _shared),
     st.tuples(st.sampled_from(["succeed", "fail"]), _shared),
     st.tuples(st.just("hold"), st.integers(0, 1), st.booleans(), _delays),
     st.tuples(st.just("child"), _delays, st.booleans()),
+    st.tuples(st.just("join"), st.integers(min_value=0, max_value=4)),
     st.tuples(st.just("all_of"), st.lists(_shared, max_size=3)),
 )
 _programs = st.lists(st.lists(_step, min_size=1, max_size=8), min_size=1, max_size=5)
@@ -333,9 +364,24 @@ _programs = st.lists(st.lists(_step, min_size=1, max_size=8), min_size=1, max_si
     # exists for; at 0.0 timeouts only collide with each other.
     start=st.sampled_from([0.0, 2.0**53]),
 )
+# Process 0's completion is the sentinel of run(until=process 0), and
+# its one waiter, process 1, sleeps at once: the run must stop before
+# that sleep ends.
+@example(
+    program=[[("sleep", 0.5)], [("join", 0), ("sleep", 1.0)]],
+    mode="until first process",
+    start=0.0,
+)
+# The last event the run dispatches, the sleep's timeout, has one
+# callback; the advance after the run must still refuse.
+@example(program=[[("sleep", 1.0), ("wait", 0)]], mode="drain", start=0.0)
 def test_engine_matches_reference(program, mode, start):
-    observed = execute("engine", program, mode, start)
-    assert observed == execute("reference", program, mode, start)
-    # The programs catch every exception they raise, so the one error a
-    # run may end with is a first process that can never finish.
-    assert observed["error"] in (None, ("SimulationError", _STARVED))
+    for monitored in (True, False):
+        observed = execute("engine", program, mode, start, monitored)
+        assert observed == execute(
+            "reference", program, mode, start, monitored
+        )
+        # The programs catch every exception they raise, so the one
+        # error a run may end with is a first process that can never
+        # finish.
+        assert observed["error"] in (None, ("SimulationError", _STARVED))
