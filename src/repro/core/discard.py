@@ -119,7 +119,7 @@ class DiscardManager(abc.ABC):
             cost += self._batch_epilogue(blocks)
             self.calls += 1
             self.total_cost += cost
-            if cost:
+            if cost and not driver.env.advance(cost):
                 yield driver.env.timeout(cost)
         finally:
             driver.unlock_blocks(targets)

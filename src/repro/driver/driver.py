@@ -956,6 +956,7 @@ class UvmDriver:
             # Loop-invariant attribute chains, hoisted: in the evicting
             # steady state every one of these is read once per block.
             timeout = env.timeout
+            advance = env.advance
             unused_q = queues.unused
             discarded_q = (
                 queues.discarded
@@ -983,7 +984,7 @@ class UvmDriver:
                             try:
                                 started = env.now if traced else 0.0
                                 cost = self._reclaim_discarded_block(g, victim)
-                                if cost:
+                                if cost and not advance(cost):
                                     yield timeout(cost)
                                 if traced:
                                     self._trace_eviction(
@@ -1004,7 +1005,8 @@ class UvmDriver:
                                 started = env.now if traced else 0.0
                                 cost = page_table.unmap_block(index)
                                 if victim.populated and not victim.discarded:
-                                    yield timeout(cost)
+                                    if not advance(cost):
+                                        yield timeout(cost)
                                     request = d2h_engine.try_acquire()
                                     if request is None:
                                         request = d2h_engine.request()
@@ -1021,11 +1023,11 @@ class UvmDriver:
                                             )
                                         )
                                         wire_started = env.now if traced else 0.0
-                                        yield timeout(
-                                            link.transfer_time(
-                                                span_bytes, chunk=chunk
-                                            )
+                                        wire = link.transfer_time(
+                                            span_bytes, chunk=chunk
                                         )
+                                        if not advance(wire):
+                                            yield timeout(wire)
                                         if traced:
                                             migration.trace_command(
                                                 f"link/{d2h.value}",
@@ -1051,14 +1053,17 @@ class UvmDriver:
                                     finally:
                                         d2h_engine.release(request)
                                     victim.residency = CPU
-                                    yield timeout(
+                                    map_cost = (
                                         0.0
                                         if cpu_table.is_mapped(index)
                                         else cpu_table.map_block(index)
                                     )
+                                    if not advance(map_cost):
+                                        yield timeout(map_cost)
                                 else:
                                     victim.residency = None
-                                    yield timeout(cost)
+                                    if not advance(cost):
+                                        yield timeout(cost)
                                 vframe = victim.frame
                                 victim.frame = None
                                 if vframe is not None:
@@ -1109,7 +1114,8 @@ class UvmDriver:
                 block.populated = True
             used_q.touch_all(zero_blocks)
             counters.bump(Counters.ZEROED_BLOCKS, len(zero_blocks))
-            yield self.env.timeout(cost)
+            if not self.env.advance(cost):
+                yield self.env.timeout(cost)
 
         if migrate_blocks:
             cost = 0.0
@@ -1119,7 +1125,8 @@ class UvmDriver:
                 if cpu_table.is_mapped(index):
                     cost += cpu_table.unmap_block(index)
                 cost += page_table.map_block(index)
-            yield self.env.timeout(cost)
+            if not self.env.advance(cost):
+                yield self.env.timeout(cost)
             yield from self.migration.transfer_blocks(
                 migrate_blocks,
                 TransferDirection.HOST_TO_DEVICE,
@@ -1226,10 +1233,12 @@ class UvmDriver:
             blocks = yield from chaos.on_fault_batch(self, gpu, blocks)
         self.counters.bump(Counters.GPU_FAULT_BATCHES)
         self.counters.bump(Counters.GPU_FAULTED_BLOCKS, len(blocks))
-        yield self.env.timeout(
+        cost = (
             self.config.fault_batch_overhead
             + len(blocks) * self.config.fault_per_block
         )
+        if not self.env.advance(cost):
+            yield self.env.timeout(cost)
         if self.config.auto_prefetch_enabled:
             self._maybe_auto_prefetch(gpu, blocks)
         # Inlined make_resident_gpu for the no-chunking case: the fault
@@ -1402,10 +1411,12 @@ class UvmDriver:
             return
         tracer = self.tracer
         started = self.env.now if tracer.enabled else 0.0
-        yield self.env.timeout(
+        cost = (
             self.config.prefetch_command_overhead
             + len(blocks) * self.config.prefetch_per_block
         )
+        if not self.env.advance(cost):
+            yield self.env.timeout(cost)
         self.counters.bump(Counters.PREFETCHED_BLOCKS, len(blocks))
         if destination == CPU:
             yield from self.make_resident_cpu(

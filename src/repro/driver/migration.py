@@ -216,9 +216,9 @@ class MigrationEngine:
                 if link._armed_faults:
                     yield from self._timed_command(link, span_bytes, chunk)
                 else:
-                    yield env.timeout(
-                        link.transfer_time(span_bytes, chunk=chunk)
-                    )
+                    wire = link.transfer_time(span_bytes, chunk=chunk)
+                    if not env.advance(wire):
+                        yield env.timeout(wire)
                 rec = record(
                     env.now,
                     direction,
@@ -244,9 +244,9 @@ class MigrationEngine:
                 if link._armed_faults:
                     yield from self._timed_command(link, span_bytes, chunk)
                 else:
-                    yield env.timeout(
-                        link.transfer_time(span_bytes, chunk=chunk)
-                    )
+                    wire = link.transfer_time(span_bytes, chunk=chunk)
+                    if not env.advance(wire):
+                        yield env.timeout(wire)
                 if tracer.enabled:
                     self.trace_command(
                         f"link/{direction.value}",

@@ -123,7 +123,9 @@ class GpuExecutor:
                         self.fault_stall_seconds += self.env.now - stall_start
                     for mode, blocks in wave:
                         note_accesses(blocks, mode)
-                    if compute_per_wave > 0:
+                    if compute_per_wave > 0 and not self.env.advance(
+                        compute_per_wave
+                    ):
                         yield self.env.timeout(compute_per_wave)
                     # Injected abort-and-retry: a transient execution fault
                     # (e.g. an uncorrectable ECC hit mid-kernel) kills the
