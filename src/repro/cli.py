@@ -82,20 +82,25 @@ EXPERIMENTS = {
 }
 
 
-def _write_trace_json(path: str, payload: dict) -> None:
-    """Write a trace dict deterministically (sorted keys, compact)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        handle.write("\n")
+def _write_trace_json(path: str, payload: dict) -> bool:
+    """Write a trace dict deterministically (sorted keys, compact);
+    False, after one stderr line, when the write fails."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _write_text(pathlib.Path(path), text + "\n")
 
 
-def _missing_directory(path: pathlib.Path) -> bool:
-    """True, after one stderr line, when ``path``'s directory does not
-    exist: commands check their output paths before any work."""
-    if path.parent.is_dir():
-        return False
-    print(f"cannot write {path}: no directory {path.parent}", file=sys.stderr)
-    return True
+def _missing_directory(*paths) -> bool:
+    """True, after one stderr line, when the directory of an output path
+    does not exist: commands check their output paths before any work.
+    Unset paths (``None`` or empty) are skipped."""
+    for path in map(pathlib.Path, filter(None, paths)):
+        if not path.parent.is_dir():
+            print(
+                f"cannot write {path}: no directory {path.parent}",
+                file=sys.stderr,
+            )
+            return True
+    return False
 
 
 def _write_text(path: pathlib.Path, text: str) -> bool:
@@ -113,7 +118,8 @@ def _execute_points(
     points: List[SweepPoint], trace: Optional[str]
 ) -> List[ExperimentResult]:
     """Run experiment points — via the sweep engine, or individually
-    traced (merged into one multi-process trace file) when ``trace``."""
+    traced (merged into one multi-process trace file) when ``trace``.
+    A trace that cannot be written ends the command with exit 2."""
     if trace is None:
         report = run_sweep(points)
         return [result for result in report.results if result is not None]
@@ -127,7 +133,8 @@ def _execute_points(
         if result is not None:
             results.append(result)
         traced.append((point.label, tracer))
-    _write_trace_json(trace, merge_chrome_traces(traced))
+    if not _write_trace_json(trace, merge_chrome_traces(traced)):
+        raise SystemExit(2)
     print(f"wrote merged trace of {len(traced)} points to {trace}")
     return results
 
@@ -197,6 +204,9 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
+    # Refuse before simulating, not after.
+    if _missing_directory(args.csv, args.trace):
+        return 2
     from repro.fastmodel import FastModelError
 
     try:
@@ -213,8 +223,8 @@ def cmd_run(args) -> int:
         print(f"fast model unavailable: {exc}", file=sys.stderr)
         return 2
     if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(results_to_csv(results))
+        if not _write_text(pathlib.Path(args.csv), results_to_csv(results)):
+            return 2
         print(f"\nwrote {len(results)} rows to {args.csv}")
     return 0
 
@@ -223,6 +233,8 @@ def cmd_reproduce(args) -> int:
     """Run every experiment at a fast scale; write one markdown report."""
     from repro.instrument.report import results_to_markdown, speedup_summary
 
+    if _missing_directory(args.output):
+        return 2
     sections = []
     for name in EXPERIMENTS:
         print(f"== {name}")
@@ -238,8 +250,8 @@ def cmd_reproduce(args) -> int:
             sections.append("```\n" + summary + "\n```")
         print()
     report = "# UVM Discard reproduction report\n\n" + "\n\n".join(sections) + "\n"
-    with open(args.output, "w") as handle:
-        handle.write(report)
+    if not _write_text(pathlib.Path(args.output), report):
+        return 2
     print(f"wrote {args.output}")
     return 0
 
@@ -281,6 +293,8 @@ def cmd_sweep(args) -> int:
     except (ConfigurationError, OSError, ValueError) as exc:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
         return 2
+    if _missing_directory(args.csv):
+        return 2
     cache: Optional[ResultCache] = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
@@ -314,8 +328,8 @@ def cmd_sweep(args) -> int:
         )
     if args.csv:
         rows = [result for result in report.results if result is not None]
-        with open(args.csv, "w") as handle:
-            handle.write(results_to_csv(rows))
+        if not _write_text(pathlib.Path(args.csv), results_to_csv(rows)):
+            return 2
         print(f"wrote {len(rows)} rows to {args.csv}")
     return 0
 
@@ -331,6 +345,9 @@ def cmd_profile(args) -> int:
         results_to_json,
     )
 
+    # --cprofile prints its table and writes no JSON.
+    if not args.cprofile and _missing_directory(args.output):
+        return 2
     try:
         names = _split(args.benchmarks) or None
         if args.cprofile:
@@ -357,8 +374,8 @@ def cmd_profile(args) -> int:
         return 2
     if args.output:
         payload = results_to_json(results, repeat=args.repeat)
-        with open(args.output, "w") as handle:
-            handle.write(payload)
+        if not _write_text(pathlib.Path(args.output), payload):
+            return 2
         print(f"wrote {args.output}")
     if args.compare:
         try:
@@ -441,6 +458,8 @@ def cmd_chaos(args) -> int:
     except (ConfigurationError, TypeError, ValueError) as exc:
         print(f"bad chaos spec: {exc}", file=sys.stderr)
         return 2
+    if _missing_directory(args.trace):
+        return 2
     trace_config = None
     if args.trace:
         from repro.instrument.trace import TraceConfig
@@ -468,7 +487,8 @@ def cmd_chaos(args) -> int:
             for result in report.results
             if result.chaos_tracer is not None
         ]
-        _write_trace_json(args.trace, merge_chrome_traces(traced))
+        if not _write_trace_json(args.trace, merge_chrome_traces(traced)):
+            return 2
         print(f"wrote merged chaos trace of {len(traced)} workloads to {args.trace}")
     return 0 if report.ok else 1
 
@@ -513,9 +533,7 @@ def cmd_trace(args) -> int:
     out = pathlib.Path(args.out)
     metrics_csv = pathlib.Path(args.metrics_csv) if args.metrics_csv else None
     # Refuse before simulating, not after.
-    if _missing_directory(out) or (
-        metrics_csv is not None and _missing_directory(metrics_csv)
-    ):
+    if _missing_directory(out, metrics_csv):
         return 2
     try:
         system = System(args.system)
@@ -650,7 +668,7 @@ def cmd_explain(args) -> int:
             return 0 if check["ok"] else 1
         out = pathlib.Path(args.out) if args.out else None
         # Refuse before simulating, not after.
-        if out is not None and _missing_directory(out):
+        if _missing_directory(out):
             return 2
         report = explain_point(point_for(system.value))
         if out is not None and not _write_text(
@@ -684,7 +702,7 @@ def cmd_replay(args) -> int:
 
     out = pathlib.Path(args.convert) if args.convert else None
     # Refuse before converting, not after.
-    if out is not None and _missing_directory(out):
+    if _missing_directory(out):
         return 2
     try:
         trace = load_replay_trace(args.trace)
@@ -781,6 +799,8 @@ def cmd_loadgen(args) -> int:
     """Drive a running server with concurrent load; see docs/SERVING.md."""
     from repro.serve.loadgen import run_load
 
+    if _missing_directory(args.report):
+        return 2
     try:
         report = run_load(
             args.url,
@@ -798,9 +818,9 @@ def cmd_loadgen(args) -> int:
     for line in report.summary_lines():
         print(line)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report.to_dict(), sort_keys=True, indent=1))
-            handle.write("\n")
+        text = json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n"
+        if not _write_text(pathlib.Path(args.report), text):
+            return 2
         print(f"wrote {args.report}")
     ok = report.failed == 0 and report.identity_mismatches == 0
     return 0 if ok else 1

@@ -474,6 +474,61 @@ class TestTraceOutputs:
         assert len(err.splitlines()) == 1
 
 
+class TestOutputPaths:
+    """Every command that writes a file checks the file's directory
+    before any work: a missing one is one stderr line and exit 2."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import repro.chaos
+        import repro.cli as cli
+        import repro.harness.perf as perf
+        import repro.serve.loadgen as loadgen
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked before refusing an output path")
+
+        monkeypatch.setattr(cli, "_execute_points", refuse)
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        monkeypatch.setattr(perf, "run_benchmarks", refuse)
+        monkeypatch.setattr(loadgen, "run_load", refuse)
+        monkeypatch.setattr(repro.chaos, "run_chaos_suite", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fir", "--scale", "0.01", "--csv"],
+            ["run", "fir", "--scale", "0.01", "--trace"],
+            ["sweep", "--workloads", "fir", "--scale", "0.01", "--no-cache",
+             "--csv"],
+            ["reproduce", "--scale", "0.01", "--output"],
+            ["profile", "--output"],
+            ["loadgen", "--url", "http://127.0.0.1:9", "--report"],
+            ["chaos", "--trace"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-1]}",
+    )
+    def test_missing_directory_exits_2_before_any_work(
+        self, argv, tmp_path, capsys, no_work
+    ):
+        path = tmp_path / "missing" / "dir" / "out"
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot write {path}: no directory {path.parent}\n"
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_run_csv_exits_2(self, tmp_path, capsys):
+        # A directory in the way: the write itself fails after the run.
+        csv_path = tmp_path / "rows.csv"
+        csv_path.mkdir()
+        assert main(
+            ["run", "fir", "--scale", "0.01", "--csv", str(csv_path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {csv_path}: ")
+        assert len(err.splitlines()) == 1
+
+
 class TestReplay:
     @pytest.fixture(scope="class")
     def export(self, tmp_path_factory):
