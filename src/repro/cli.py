@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import pathlib
 import sys
 from typing import List, Optional, Sequence
@@ -1322,7 +1323,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # Flush here, so a reader that went away is noticed inside the
+        # try rather than at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed (``repro ... | head -1``): end quietly, as
+        # the signal module's docs recommend.  Whatever is still
+        # buffered goes to devnull, so the flush at exit cannot raise
+        # again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

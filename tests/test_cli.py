@@ -529,6 +529,33 @@ class TestOutputPaths:
         assert len(err.splitlines()) == 1
 
 
+class TestClosedStdout:
+    """A reader that goes away (``repro ... | head -1``) ends the command
+    with exit 1 and nothing on stderr, never a BrokenPipeError
+    traceback."""
+
+    def test_closed_pipe_after_one_line(self, tmp_path):
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # The report is about 97 KB in one print, more than a pipe
+        # holds, so the write cannot finish once the reader is gone.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "explain", "fig5-rnn",
+             "--scale", "0.03125", "--json"],
+            cwd=tmp_path,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert process.stdout.readline() == b"{\n"
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 1
+        assert err == b""
+
+
 class TestReplay:
     @pytest.fixture(scope="class")
     def export(self, tmp_path_factory):
