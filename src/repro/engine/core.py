@@ -39,7 +39,21 @@ little uniformity for speed:
   single-heap engine — the now-queue only removes the O(log n) sift
   cost from events that could never sort before the current time.
   ``tests/test_engine_reference.py`` checks exactly that against a
-  plain one-heap engine.
+  plain one-heap engine,
+- :meth:`Environment.advance` moves the clock in place of a timeout
+  that would be the next event processed, with the caller its only
+  waiter.  No :class:`Timeout` is built, scheduled or popped, and the
+  caller's generator chain does not suspend and resume; the sequence
+  number and the event count the timeout would have taken are used up,
+  so the ``(time, seq)`` schedule is unchanged.  It applies only inside
+  :meth:`Environment.run`, while the event being dispatched has the
+  caller as its one callback and is not the sentinel of
+  ``run(until=event)``, with the now-queue empty, no monitor installed
+  (chaos, the online validator and metric sampling keep the timeout),
+  ``now < now + delay <=`` the run's deadline, and nothing in the heap
+  due at or before ``now + delay``.  The driver's hot waits call it as
+  ``if not env.advance(d): yield env.timeout(d)``; under
+  oversubscription nearly every wait qualifies.
 
 Both arenas live on the :class:`Environment` and are ordinary pickled
 state, so a forked :class:`~repro.engine.snapshot.EngineSnapshot`
