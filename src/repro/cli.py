@@ -87,7 +87,7 @@ def _write_trace_json(path: str, payload: dict) -> bool:
     """Write a trace dict deterministically (sorted keys, compact);
     False, after one stderr line, when the write fails."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return _write_text(pathlib.Path(path), text + "\n")
+    return _write_text(path, text + "\n")
 
 
 def _missing_directory(*paths) -> bool:
@@ -104,11 +104,11 @@ def _missing_directory(*paths) -> bool:
     return False
 
 
-def _write_text(path: pathlib.Path, text: str) -> bool:
-    """Write ``text`` to ``path``; False, after one stderr line, when the
-    write fails."""
+def _write_text(path, text: str) -> bool:
+    """Write ``text`` to ``path`` (a string or a path); False, after one
+    stderr line, when the write fails."""
     try:
-        path.write_text(text, encoding="utf-8")
+        pathlib.Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
         return False
@@ -224,7 +224,7 @@ def cmd_run(args) -> int:
         print(f"fast model unavailable: {exc}", file=sys.stderr)
         return 2
     if args.csv:
-        if not _write_text(pathlib.Path(args.csv), results_to_csv(results)):
+        if not _write_text(args.csv, results_to_csv(results)):
             return 2
         print(f"\nwrote {len(results)} rows to {args.csv}")
     return 0
@@ -251,7 +251,7 @@ def cmd_reproduce(args) -> int:
             sections.append("```\n" + summary + "\n```")
         print()
     report = "# UVM Discard reproduction report\n\n" + "\n\n".join(sections) + "\n"
-    if not _write_text(pathlib.Path(args.output), report):
+    if not _write_text(args.output, report):
         return 2
     print(f"wrote {args.output}")
     return 0
@@ -329,7 +329,7 @@ def cmd_sweep(args) -> int:
         )
     if args.csv:
         rows = [result for result in report.results if result is not None]
-        if not _write_text(pathlib.Path(args.csv), results_to_csv(rows)):
+        if not _write_text(args.csv, results_to_csv(rows)):
             return 2
         print(f"wrote {len(rows)} rows to {args.csv}")
     return 0
@@ -375,7 +375,7 @@ def cmd_profile(args) -> int:
         return 2
     if args.output:
         payload = results_to_json(results, repeat=args.repeat)
-        if not _write_text(pathlib.Path(args.output), payload):
+        if not _write_text(args.output, payload):
             return 2
         print(f"wrote {args.output}")
     if args.compare:
@@ -820,7 +820,7 @@ def cmd_loadgen(args) -> int:
         print(line)
     if args.report:
         text = json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n"
-        if not _write_text(pathlib.Path(args.report), text):
+        if not _write_text(args.report, text):
             return 2
         print(f"wrote {args.report}")
     ok = report.failed == 0 and report.identity_mismatches == 0

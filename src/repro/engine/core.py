@@ -483,8 +483,9 @@ class Environment:
         """
         if not self._sole_waiter or self._now_queue or self._monitors:
             return False
-        time = self._now + delay
-        if not self._now < time <= self._deadline:
+        now = self._now
+        time = now + delay
+        if not now < time <= self._deadline:
             return False
         heap = self._heap
         if heap and heap[0] <= time:

@@ -373,8 +373,27 @@ _programs = st.lists(st.lists(_step, min_size=1, max_size=8), min_size=1, max_si
     start=0.0,
 )
 # The last event the run dispatches, the sleep's timeout, has one
-# callback; the advance after the run must still refuse.
+# callback; the advance after the run must still refuse.  Monitored,
+# the same sleep must not skip its tick.
 @example(program=[[("sleep", 1.0), ("wait", 0)]], mode="drain", start=0.0)
+# One example per remaining condition of advance, so none rests on what
+# the random search happens to draw: two waiters on one event; a
+# bootstrap still queued; a sleep past run(until=1.0)'s deadline; a
+# second sleep that ends on the instant another process's timeout is
+# already due; a negative delay, which timeout() must reject.
+@example(
+    program=[[("wait", 0), ("sleep", 1.0)], [("wait", 0)], [("succeed", 0)]],
+    mode="drain",
+    start=0.0,
+)
+@example(program=[[("sleep", 1.0)], [("wait", 0)]], mode="drain", start=0.0)
+@example(program=[[("sleep", 1.5)]], mode="until 1.0", start=0.0)
+@example(
+    program=[[("sleep", 1.0)], [("sleep", 0.5), ("sleep", 0.5)]],
+    mode="drain",
+    start=0.0,
+)
+@example(program=[[("sleep", -0.5)]], mode="drain", start=0.0)
 def test_engine_matches_reference(program, mode, start):
     for monitored in (True, False):
         observed = execute("engine", program, mode, start, monitored)
