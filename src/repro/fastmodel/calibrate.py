@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 from typing import Callable, Iterable, List, Optional
 
 from repro.fastmodel.model import DEFAULT_CALIBRATION_PATH, FastModel
@@ -122,7 +121,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--quiet", action="store_true", help="suppress per-point progress"
     )
     args = parser.parse_args(argv)
+    from repro.cli import _missing_directory, _write_text
 
+    if _missing_directory(args.output):
+        return 2
     model = FastModel()
     points = default_calibration_points(scale=args.scale)
     started = time.monotonic()
@@ -132,7 +134,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         jobs=args.jobs,
         progress=None if args.quiet else print,
     )
-    model.save(Path(args.output))
+    if not _write_text(args.output, model.to_json()):
+        return 2
     print(
         f"calibrated {len(model.families)} families from {len(points)} "
         f"simulator runs in {time.monotonic() - started:.1f}s -> "

@@ -473,6 +473,18 @@ class TestTraceOutputs:
         assert err.startswith(f"cannot write {csv_path}: ")
         assert len(err.splitlines()) == 1
 
+    def test_unwritable_calibration_exits_2(self, tmp_path, capsys, monkeypatch):
+        import repro.fastmodel.calibrate as calibrate
+
+        monkeypatch.setattr(calibrate, "calibrate", lambda model, *a, **k: model)
+        path = tmp_path / "calibration.json"
+        path.mkdir()
+        argv = ["fastmodel", "calibrate", "--", "--quiet", "--output", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestOutputPaths:
     """Every command that writes a file checks the file's directory
@@ -482,6 +494,7 @@ class TestOutputPaths:
     def no_work(self, monkeypatch):
         import repro.chaos
         import repro.cli as cli
+        import repro.fastmodel.calibrate as calibrate
         import repro.harness.perf as perf
         import repro.serve.loadgen as loadgen
 
@@ -493,6 +506,7 @@ class TestOutputPaths:
         monkeypatch.setattr(perf, "run_benchmarks", refuse)
         monkeypatch.setattr(loadgen, "run_load", refuse)
         monkeypatch.setattr(repro.chaos, "run_chaos_suite", refuse)
+        monkeypatch.setattr(calibrate, "calibrate", refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -505,6 +519,7 @@ class TestOutputPaths:
             ["profile", "--output"],
             ["loadgen", "--url", "http://127.0.0.1:9", "--report"],
             ["chaos", "--trace"],
+            ["fastmodel", "calibrate", "--", "--quiet", "--output"],
         ],
         ids=lambda argv: f"{argv[0]} {argv[-1]}",
     )
@@ -526,6 +541,18 @@ class TestOutputPaths:
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"cannot write {csv_path}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_unwritable_calibration_exits_2(self, tmp_path, capsys, monkeypatch):
+        import repro.fastmodel.calibrate as calibrate
+
+        monkeypatch.setattr(calibrate, "calibrate", lambda model, *a, **k: model)
+        path = tmp_path / "calibration.json"
+        path.mkdir()
+        argv = ["fastmodel", "calibrate", "--", "--quiet", "--output", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {path}: ")
         assert len(err.splitlines()) == 1
 
 
