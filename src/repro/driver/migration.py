@@ -161,8 +161,8 @@ class MigrationEngine:
     ) -> None:
         """Record one DMA command as a migration span (tracer enabled).
 
-        The driver's inline eviction records its writebacks through this
-        too, so every wire span has one format."""
+        The driver's eviction writeback records its wire span through
+        this too, so every wire span has one format."""
         tracer = self.tracer
         args = {"bytes": span_bytes, "blocks": num_blocks}
         if first_block is not None:
@@ -202,10 +202,11 @@ class MigrationEngine:
         tracer = self.tracer
         try:
             if len(blocks) == 1 and not tracer.enabled:
-                # Single-block command (the eviction path emits these
-                # constantly): skip the sort/coalesce machinery and,
-                # fault-free, the _timed_command generator frame.
-                # Identical wire time, traffic and RMT accounting.
+                # Single-block command (single-block faults and
+                # prefetches emit these constantly): skip the
+                # sort/coalesce machinery and, fault-free, the
+                # _timed_command generator frame.  Identical wire time,
+                # traffic and RMT accounting.
                 block = blocks[0]
                 span_bytes = block.used_bytes
                 chunk = (

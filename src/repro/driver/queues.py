@@ -15,14 +15,45 @@ least-recently-used side of used.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Iterable, Iterator, Optional
+from typing import Container, Deque, Iterable, Iterator, Optional
 
 from repro.driver.va_block import VaBlock
 from repro.errors import SimulationError
 from repro.memsim.frames import Frame
 
 
-class UsedQueue:
+class _BlockQueue:
+    """Queued va_blocks keyed by index; eviction takes from the head."""
+
+    __slots__ = ("_order",)
+
+    def __init__(self) -> None:
+        self._order: "OrderedDict[int, VaBlock]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __contains__(self, block: VaBlock) -> bool:
+        return block.index in self._order
+
+    def __iter__(self) -> Iterator[VaBlock]:
+        return iter(self._order.values())
+
+    def pop_unlocked(self, locked: Container[int]) -> Optional[VaBlock]:
+        """Remove and return the block nearest the head whose index is
+        not in ``locked``, or ``None`` when there is none.
+
+        Locked blocks keep their places, as the real driver's eviction
+        skips a va_block whose lock it cannot take.
+        """
+        order = self._order
+        for index in order:
+            if index not in locked:
+                return order.pop(index)
+        return None
+
+
+class UsedQueue(_BlockQueue):
     """Pseudo-LRU queue of in-use va_blocks.
 
     A fault or prefetch moves the block to the most-recently-used side
@@ -31,21 +62,15 @@ class UsedQueue:
     place, so eviction follows insertion order.
     """
 
-    __slots__ = ("_order", "_refresh")
+    __slots__ = ("_refresh",)
 
     def __init__(self, eviction_policy: str = "lru") -> None:
-        self._order: "OrderedDict[int, VaBlock]" = OrderedDict()
+        super().__init__()
         self.set_policy(eviction_policy)
 
     def set_policy(self, eviction_policy: str) -> None:
         """Apply a driver ``eviction_policy`` ("lru" or "fifo")."""
         self._refresh = eviction_policy != "fifo"
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __contains__(self, block: VaBlock) -> bool:
-        return block.index in self._order
 
     def touch(self, block: VaBlock) -> None:
         """:meth:`touch_all` for one block."""
@@ -82,40 +107,21 @@ class UsedQueue:
         _index, block = self._order.popitem(last=False)
         return block
 
-    def restore_lru(self, block: VaBlock) -> None:
-        """Re-insert ``block`` at the LRU side (eviction skipped it)."""
-        if block.index in self._order:
-            raise SimulationError(f"{block!r} already in used queue")
-        self._order[block.index] = block
-        self._order.move_to_end(block.index, last=False)
-
     def peek_lru(self) -> Optional[VaBlock]:
         if not self._order:
             return None
         index = next(iter(self._order))
         return self._order[index]
 
-    def __iter__(self) -> Iterator[VaBlock]:
-        return iter(self._order.values())
 
-
-class DiscardedQueue:
+class DiscardedQueue(_BlockQueue):
     """FIFO of discarded-but-not-yet-reclaimed va_blocks (§5.5).
 
     FIFO order "maximizes the time to keep each discarded GPU page in the
     queue so that they have a higher chance to be recovered" on re-access.
     """
 
-    __slots__ = ("_order",)
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[int, VaBlock]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __contains__(self, block: VaBlock) -> bool:
-        return block.index in self._order
+    __slots__ = ()
 
     def push(self, block: VaBlock) -> None:
         if block.index in self._order:
@@ -138,16 +144,6 @@ class DiscardedQueue:
             raise SimulationError("pop_oldest() on empty discarded queue")
         _index, block = self._order.popitem(last=False)
         return block
-
-    def restore_oldest(self, block: VaBlock) -> None:
-        """Re-insert ``block`` at the FIFO head (eviction skipped it)."""
-        if block.index in self._order:
-            raise SimulationError(f"{block!r} already in discarded queue")
-        self._order[block.index] = block
-        self._order.move_to_end(block.index, last=False)
-
-    def __iter__(self) -> Iterator[VaBlock]:
-        return iter(self._order.values())
 
 
 class GpuPageQueues:

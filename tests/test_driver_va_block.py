@@ -127,16 +127,15 @@ class TestUsedQueue:
             queue.remove(block)
         queue.discard(block)  # no-op on absent block
 
-    def test_restore_lru_puts_block_first(self):
+    def test_pop_unlocked_leaves_locked_blocks_in_place(self):
         queue = UsedQueue()
-        a, b = make_block(1), make_block(2)
-        queue.touch(a)
-        queue.touch(b)
-        popped = queue.pop_lru()
-        queue.restore_lru(popped)
-        assert queue.pop_lru() is a
-        with pytest.raises(SimulationError):
-            queue.restore_lru(b)
+        a, b, c = make_block(1), make_block(2), make_block(3)
+        queue.touch_all([a, b, c])
+        assert queue.pop_unlocked({a.index}) is b
+        assert [block.index for block in queue] == [a.index, c.index]
+        assert queue.pop_unlocked({a.index, c.index}) is None
+        assert len(queue) == 2
+        assert queue.pop_unlocked(()) is a
 
     def test_pop_empty_rejected(self):
         with pytest.raises(SimulationError):
@@ -192,14 +191,15 @@ class TestDiscardedQueue:
         with pytest.raises(SimulationError):
             queue.remove(block)
 
-    def test_restore_oldest(self):
+    def test_pop_unlocked_takes_the_oldest_unlocked(self):
         queue = DiscardedQueue()
-        a, b = make_block(1), make_block(2)
-        queue.push(a)
-        queue.push(b)
-        popped = queue.pop_oldest()
-        queue.restore_oldest(popped)
-        assert queue.pop_oldest() is a
+        a, b, c = make_block(1), make_block(2), make_block(3)
+        for block in (a, b, c):
+            queue.push(block)
+        assert queue.pop_unlocked({a.index, b.index}) is c
+        assert queue.pop_unlocked({b.index}) is a
+        assert queue.pop_oldest() is b
+        assert DiscardedQueue().pop_unlocked(()) is None
 
     def test_pop_empty_rejected(self):
         with pytest.raises(SimulationError):
