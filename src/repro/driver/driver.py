@@ -498,7 +498,10 @@ class UvmDriver:
            missing after 10,000 waits in a row.
 
         Each frame is assigned as soon as it is taken, between the
-        evictions.  A reservation or retirement passes ``claim`` and
+        evictions.  A victim's frame goes straight to the waiting block
+        when no unused frame arrived during the eviction; otherwise it is
+        freed, and a discarded victim whose PTE clear has to wait frees it
+        before the wait.  A reservation or retirement passes ``claim`` and
         ``range(nframes)`` instead of blocks: ``claim(evicted)`` replaces
         step 1, taking one free frame for the caller or returning False
         when there is none; ``evicted`` tells whether this routine
@@ -556,66 +559,88 @@ class UvmDriver:
                     try:
                         started = env.now if traced else 0.0
                         if reclaim:
+                            frame = victim.frame
                             cost = self._reclaim_discarded_block(g, victim)
                             if cost and not advance(cost):
+                                # Another operation may take the frame
+                                # during the wait.
+                                if frame is not None:
+                                    allocator.free(frame)
+                                    frame = None
                                 yield timeout(cost)
                         else:
                             cost = page_table.unmap_block(index)
                             if victim.populated and not victim.discarded:
                                 if not advance(cost):
                                     yield timeout(cost)
-                                request = d2h_engine.try_acquire()
-                                if request is None:
-                                    request = d2h_engine.request()
-                                    yield request
                                 span_bytes = victim.used_bytes
-                                try:
-                                    chunk = (
-                                        SMALL_PAGE
-                                        if victim.split
-                                        else (
-                                            span_bytes
-                                            if span_bytes < BIG_PAGE
-                                            else BIG_PAGE
-                                        )
+                                chunk = (
+                                    SMALL_PAGE
+                                    if victim.split
+                                    else (
+                                        span_bytes
+                                        if span_bytes < BIG_PAGE
+                                        else BIG_PAGE
                                     )
-                                    wire_started = env.now if traced else 0.0
-                                    if link._armed_faults:
-                                        # An armed transient fault: the
-                                        # command fails and is retried.
-                                        yield from migration._timed_command(
-                                            link, span_bytes, chunk
-                                        )
-                                    else:
-                                        wire = link.transfer_time(
-                                            span_bytes, chunk=chunk
-                                        )
-                                        if not advance(wire):
-                                            yield timeout(wire)
-                                    if traced:
-                                        migration.trace_command(
-                                            f"link/{d2h.value}",
-                                            eviction.value,
-                                            wire_started,
-                                            span_bytes,
-                                            index,
-                                            1,
-                                        )
-                                    rec = migration.traffic.record(
-                                        env.now,
-                                        d2h,
+                                )
+                                wire_started = env.now if traced else 0.0
+                                # On an idle engine a wire wait that
+                                # advances in place lets nothing else run,
+                                # so the engine is held only when the
+                                # writeback has to wait.
+                                if (
+                                    link._armed_faults
+                                    or not d2h_engine.idle
+                                    or not advance(
+                                        link.transfer_time(span_bytes, chunk=chunk)
+                                    )
+                                ):
+                                    request = d2h_engine.try_acquire()
+                                    if request is None:
+                                        request = d2h_engine.request()
+                                        yield request
+                                        if traced:
+                                            wire_started = env.now
+                                    try:
+                                        if link._armed_faults:
+                                            # An armed transient fault:
+                                            # the command fails and is
+                                            # retried.
+                                            yield from migration._timed_command(
+                                                link, span_bytes, chunk
+                                            )
+                                        else:
+                                            # Read now: a link.degrade()
+                                            # may have landed meanwhile.
+                                            wire = link.transfer_time(
+                                                span_bytes, chunk=chunk
+                                            )
+                                            if not advance(wire):
+                                                yield timeout(wire)
+                                    finally:
+                                        d2h_engine.release(request)
+                                if traced:
+                                    migration.trace_command(
+                                        f"link/{d2h.value}",
+                                        eviction.value,
+                                        wire_started,
                                         span_bytes,
-                                        eviction,
-                                        first_block=index,
-                                        num_blocks=1,
-                                        blocks=(victim,),
+                                        index,
+                                        1,
                                     )
-                                    migration.rmt.on_transfer(
-                                        index, span_bytes, d2h,
-                                        eviction, rec, victim,
-                                    )
-                                finally:
-                                    d2h_engine.release(request)
+                                rec = migration.traffic.record(
+                                    env.now,
+                                    d2h,
+                                    span_bytes,
+                                    eviction,
+                                    first_block=index,
+                                    num_blocks=1,
+                                    blocks=(victim,),
+                                )
+                                migration.rmt.on_transfer(
+                                    index, span_bytes, d2h,
+                                    eviction, rec, victim,
+                                )
                                 victim.residency = CPU
                                 map_cost = (
                                     0.0
@@ -630,8 +655,6 @@ class UvmDriver:
                                     yield timeout(cost)
                             frame = victim.frame
                             victim.frame = None
-                            if frame is not None:
-                                allocator.free(frame)
                             counters.bump(Counters.EVICTED_BLOCKS)
                         if traced:
                             self._trace_eviction(
@@ -645,6 +668,14 @@ class UvmDriver:
                         if event is not None and event is not _MISSING:
                             event.succeed()  # type: ignore[attr-defined]
                     evicted = True
+                    if frame is not None:
+                        if claim is None and not unused:
+                            # Hand the frame to the waiting block: what a
+                            # free and the next turn's allocate would do.
+                            frame.prepared = False
+                            block.frame = frame
+                            break
+                        allocator.free(frame)
                     continue
                 # 3. and 4. Every victim is locked.
                 if own is None:
@@ -715,8 +746,9 @@ class UvmDriver:
         tracer.observe("eviction_seconds", now - started)
 
     def _reclaim_discarded_block(self, g: _GpuState, block: VaBlock) -> float:
-        """Reclaim a discarded block's frame without any transfer
-        (§5.3/§5.6); returns the time cost."""
+        """Detach a discarded block from its frame without any transfer
+        (§5.3/§5.6); returns the time cost.  The caller frees the frame
+        or hands it on."""
         cost = 0.0
         if g.page_table.is_mapped(block.index):
             # Lazy discard left the mapping in place; destroy it now
@@ -737,12 +769,9 @@ class UvmDriver:
                     f"block {block.index} re-purposed after UvmDiscardLazy "
                     "without the mandatory prefetch notification"
                 )
-        frame = block.frame
         block.frame = None
         block.residency = None
         block.populated = False
-        if frame is not None:
-            g.allocator.free(frame)
         self.counters.bump(Counters.EVICTED_DISCARDED_BLOCKS)
         return cost
 

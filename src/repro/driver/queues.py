@@ -100,19 +100,6 @@ class UsedQueue(_BlockQueue):
         """Remove if present; no-op otherwise."""
         self._order.pop(block.index, None)
 
-    def pop_lru(self) -> VaBlock:
-        """Remove and return the least-recently-used block."""
-        if not self._order:
-            raise SimulationError("pop_lru() on empty used queue")
-        _index, block = self._order.popitem(last=False)
-        return block
-
-    def peek_lru(self) -> Optional[VaBlock]:
-        if not self._order:
-            return None
-        index = next(iter(self._order))
-        return self._order[index]
-
 
 class DiscardedQueue(_BlockQueue):
     """FIFO of discarded-but-not-yet-reclaimed va_blocks (§5.5).
@@ -137,13 +124,6 @@ class DiscardedQueue(_BlockQueue):
         for block in blocks:
             if pop(block.index, None) is None:
                 raise SimulationError(f"{block!r} not in discarded queue")
-
-    def pop_oldest(self) -> VaBlock:
-        """Reclaim the oldest discarded block (FIFO head)."""
-        if not self._order:
-            raise SimulationError("pop_oldest() on empty discarded queue")
-        _index, block = self._order.popitem(last=False)
-        return block
 
 
 class GpuPageQueues:

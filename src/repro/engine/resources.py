@@ -60,6 +60,11 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._queue)
 
+    @property
+    def idle(self) -> bool:
+        """Whether no slot is granted and no request waits for one."""
+        return not self._users and not self._queue
+
     def request(self) -> Request:
         """Create a request for one slot; yields when granted."""
         # Built without a constructor chain: under contention (queue

@@ -63,7 +63,6 @@ class FrameAllocator:
         self.capacity_frames = capacity_bytes // BIG_PAGE
         self._free = self.capacity_frames
         self._next_index = itertools.count()
-        self._allocated_frames = 0
         self.retired_frames = 0
         #: Frames currently held by :meth:`reserve` (the oversubscription
         #: occupant / co-tenant allocations), distinguishable from ECC
@@ -99,7 +98,6 @@ class FrameAllocator:
                 f"({self.capacity_frames} frames of 2 MiB all in use)"
             )
         self._free -= 1
-        self._allocated_frames += 1
         return Frame(self.owner, next(self._next_index))
 
     def free(self, frame: Frame) -> None:

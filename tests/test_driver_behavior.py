@@ -19,7 +19,8 @@ from repro.errors import (
 from repro.harness.validation import check_transfer_conservation
 from repro.instrument.traffic import TransferReason
 from repro.interconnect import pcie_gen4
-from repro.units import BIG_PAGE, MIB
+from repro.memsim.zeroing import ZeroFillModel
+from repro.units import BIG_PAGE, MIB, us
 
 
 def make_driver(capacity_mib=8, **config_kwargs):
@@ -203,6 +204,35 @@ class TestEviction:
         assert blocks[0].on_cpu
         assert driver.counters["evicted_blocks"] == 2
 
+    def test_victim_frame_is_handed_to_the_waiting_block(self):
+        """The frame a writeback vacates goes straight to the block
+        waiting for one, unprepared, with the allocator's counts a free
+        and an allocate would leave."""
+        env = Environment()
+        driver = UvmDriver(env, pcie_gen4())
+        zero_model = ZeroFillModel()
+        driver.register_gpu("gpu0", 4 * MIB, zero_model=zero_model)  # 2 frames
+        a, b = resident_written(env, driver, 2)
+        old_frame = a.frame
+        (newcomer,) = make_blocks(driver, 1, start_index=2000)
+        filled = []
+
+        def zero_time(nbytes, chunk=BIG_PAGE):
+            filled.append((newcomer.frame, newcomer.frame.prepared))
+            return ZeroFillModel.zero_time(zero_model, nbytes, chunk)
+
+        zero_model.zero_time = zero_time
+        run(env, driver.prefetch([newcomer], "gpu0"))
+        assert a.on_cpu and a.frame is None
+        assert newcomer.frame is old_frame
+        # The zero fill found the handed-over frame unprepared.
+        assert filled == [(old_frame, False)]
+        assert old_frame.prepared and old_frame.allocated
+        view = driver.inspect().gpus["gpu0"]
+        assert (view.free_frames, view.used_frames) == (0, 2)
+        assert view.unused_queue_frames == 0
+        assert driver.counters["evicted_blocks"] == 1
+
     def test_device_side_allocation_exhaustion_raises(self):
         """Explicit reservations (cudaMalloc) still fail hard."""
         env, driver = make_driver(capacity_mib=2)
@@ -356,6 +386,94 @@ class TestFrameAcquisitionRareCases:
         assert driver.traffic.bytes_d2h == BIG_PAGE
         assert driver.traffic.bytes_h2d == 0
         check_transfer_conservation(driver)
+
+    def test_unused_frame_from_a_release_mid_writeback_is_taken_first(self):
+        """A buffer freed while a writeback is on the wire puts its frame
+        on the unused queue: the waiting block takes that frame, and the
+        victim's frame goes to the free pool."""
+        env, driver = make_driver(capacity_mib=6)  # 3 frames
+        a, b, doomed = resident_written(env, driver, 3)
+        freed_frame = doomed.frame
+        (newcomer,) = make_blocks(driver, 1, start_index=2000)
+        config = driver.config
+        command = config.prefetch_command_overhead + config.prefetch_per_block
+        wire = driver.link.transfer_time(BIG_PAGE, chunk=BIG_PAGE)
+        during = []
+
+        def release_mid_wire():
+            yield env.timeout(command + wire / 2)
+            during.append(
+                (
+                    a.residency,
+                    driver.gpu_page_table("gpu0").is_mapped(a.index),
+                    a.index in driver.inspect().inflight,
+                )
+            )
+            driver.release_blocks([doomed])
+
+        env.process(release_mid_wire())
+        run(env, driver.prefetch([newcomer], "gpu0"))
+        # The release landed after a's PTE clear and before its data
+        # reached the host.
+        assert during == [("gpu0", False, True)]
+        assert a.on_cpu
+        assert newcomer.frame is freed_frame
+        view = driver.inspect().gpus["gpu0"]
+        assert (view.unused_queue_frames, view.free_frames) == (0, 1)
+
+    def test_discarded_victim_frees_its_frame_before_a_pte_clear_wait(self):
+        """A lazily discarded victim's PTE clear is cut short by another
+        prefetch: the frame waits in the free pool, and the other
+        prefetch takes it without evicting."""
+        env, driver = make_driver(capacity_mib=4)  # 2 frames
+        dead, live = resident_written(env, driver, 2)
+        driver.discard_blocks_lazy([dead])
+        first, second = make_blocks(driver, 2, start_index=2000)
+        arrived = []
+
+        def other():
+            # Its frame request lands inside the first prefetch's PTE clear.
+            yield env.timeout(us(0.5))
+            yield from driver.prefetch([second], "gpu0")
+            arrived.append(live.residency)
+
+        env.process(other())
+        env.process(driver.prefetch([first], "gpu0"))
+        env.run()
+        # The other prefetch evicted nothing: live was still resident.
+        assert arrived == ["gpu0"]
+        assert live.on_cpu
+        assert first.residency == second.residency == "gpu0"
+        assert driver.counters["evicted_discarded_blocks"] == 1
+        assert driver.counters["evicted_blocks"] == 1
+
+    def test_writeback_reads_the_wire_time_once_it_holds_the_engine(self):
+        """A writeback queued behind a held D2H engine takes the wire time
+        of the link as it is when the engine comes free."""
+        env, driver = make_driver(capacity_mib=4, keep_transfer_records=True)
+        a, b = resident_written(env, driver, 2)
+        d2h = driver._gpu("gpu0").engines.d2h
+        (newcomer,) = make_blocks(driver, 1, start_index=2000)
+        hold = us(50.0)
+        released = []
+
+        def holder():
+            request = d2h.request()
+            yield request
+            yield env.timeout(hold)
+            driver.link.degrade(0.25)
+            released.append(env.now)
+            d2h.release(request)
+
+        env.process(holder())
+        run(env, driver.prefetch([newcomer], "gpu0"))
+        degraded = driver.link.transfer_time(BIG_PAGE, chunk=BIG_PAGE)
+        (writeback,) = [
+            rec for rec in driver.traffic.records
+            if rec.reason is TransferReason.EVICTION
+        ]
+        assert writeback.time == pytest.approx(released[0] + degraded)
+        assert a.on_cpu
 
     def test_reservation_keeps_what_it_got_when_nothing_is_evictable(self):
         env, driver = make_driver(capacity_mib=8)  # 4 frames

@@ -96,8 +96,8 @@ class TestUsedQueue:
         blocks = [make_block(i) for i in range(3)]
         for block in blocks:
             queue.touch(block)
-        assert queue.pop_lru() is blocks[0]
-        assert queue.pop_lru() is blocks[1]
+        assert queue.pop_unlocked(()) is blocks[0]
+        assert queue.pop_unlocked(()) is blocks[1]
 
     def test_touch_moves_to_mru(self):
         queue = UsedQueue()
@@ -105,17 +105,17 @@ class TestUsedQueue:
         for block in blocks:
             queue.touch(block)
         queue.touch(blocks[0])  # refresh recency
-        assert queue.pop_lru() is blocks[1]
+        assert queue.pop_unlocked(()) is blocks[1]
 
     def test_fifo_policy_keeps_insertion_order(self):
         queue = UsedQueue("fifo")
         blocks = [make_block(i) for i in range(3)]
         queue.touch_all(blocks)
         queue.touch_all([blocks[0], blocks[1]])  # no recency refresh
-        assert queue.pop_lru() is blocks[0]
+        assert queue.pop_unlocked(()) is blocks[0]
         queue.set_policy("lru")
         queue.touch_all([blocks[1]])
-        assert queue.pop_lru() is blocks[2]
+        assert queue.pop_unlocked(()) is blocks[2]
 
     def test_remove_and_discard(self):
         queue = UsedQueue()
@@ -137,18 +137,6 @@ class TestUsedQueue:
         assert len(queue) == 2
         assert queue.pop_unlocked(()) is a
 
-    def test_pop_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            UsedQueue().pop_lru()
-
-    def test_peek_lru(self):
-        queue = UsedQueue()
-        assert queue.peek_lru() is None
-        block = make_block(1)
-        queue.touch(block)
-        assert queue.peek_lru() is block
-        assert len(queue) == 1
-
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=60))
     def test_lru_matches_reference_model(self, touches):
         """The pseudo-LRU queue behaves like a reference recency list."""
@@ -162,7 +150,7 @@ class TestUsedQueue:
             reference.append(index)
         drained = []
         while len(queue):
-            drained.append(queue.pop_lru().index)
+            drained.append(queue.pop_unlocked(()).index)
         assert drained == reference
 
 
@@ -172,8 +160,8 @@ class TestDiscardedQueue:
         blocks = [make_block(i) for i in range(3)]
         for block in blocks:
             queue.push(block)
-        assert queue.pop_oldest() is blocks[0]
-        assert queue.pop_oldest() is blocks[1]
+        assert queue.pop_unlocked(()) is blocks[0]
+        assert queue.pop_unlocked(()) is blocks[1]
 
     def test_double_push_rejected(self):
         queue = DiscardedQueue()
@@ -198,12 +186,8 @@ class TestDiscardedQueue:
             queue.push(block)
         assert queue.pop_unlocked({a.index, b.index}) is c
         assert queue.pop_unlocked({b.index}) is a
-        assert queue.pop_oldest() is b
+        assert queue.pop_unlocked(()) is b
         assert DiscardedQueue().pop_unlocked(()) is None
-
-    def test_pop_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            DiscardedQueue().pop_oldest()
 
 
 class TestGpuPageQueues:

@@ -94,6 +94,21 @@ class TestResource:
         assert resource.in_use == 0
         assert resource.queue_length == 0
 
+    def test_idle_only_with_no_slot_granted(self):
+        resource = Resource(Environment(), capacity=2)
+        assert resource.idle
+        first = resource.try_acquire()
+        # One slot is still free, but one is held.
+        assert not resource.idle
+        second = resource.try_acquire()
+        waiting = resource.request()
+        assert resource.queue_length == 1
+        resource.release(first)  # grants the waiting request
+        resource.release(second)
+        assert not resource.idle
+        resource.release(waiting)
+        assert resource.idle
+
 
 class TestReleasedRequestsLeaveNoCycles:
     """A release drops the granted request's self-reference, so a
