@@ -5,12 +5,12 @@ Commands:
 - ``list`` — enumerate the reproducible experiments,
 - ``run <experiment>`` — run one experiment and print its paper-style
   table (``--scale``, ``--link``, ``--csv`` options),
+- ``reproduce`` — run every experiment and write a markdown report,
 - ``sweep`` — expand a declarative grid of (workload, system, link,
   ratio/batch) points, execute it across a worker pool with on-disk
   result caching, and print a summary table,
-- ``profile`` — benchmark the simulator itself (engine event churn,
-  driver fault storm, the Figure 5 macro point), write
-  ``BENCH_engine.json`` and optionally gate against a baseline,
+- ``fastmodel`` — calibrate the analytical fast model or validate it
+  against fresh simulator runs,
 - ``chaos`` — the deterministic fault-injection suite: every workload
   runs fault-free and twice under the same chaos seed with online
   invariant validation, asserting byte-identical outputs and a
@@ -18,6 +18,11 @@ Commands:
 - ``trace`` — run one experiment point with the simulated-time tracer
   installed and export a Perfetto-loadable Chrome trace plus an
   optional metrics time-series CSV (see ``docs/OBSERVABILITY.md``),
+- ``explain`` — attribute a point's bytes to buffers, phases and
+  waste causes, list missed discard opportunities, and diff two
+  reports,
+- ``replay`` — run an access trace (a ``trace`` export, or replay
+  JSON/CSV) as a workload and check its recorded totals,
 - ``serve`` — the long-running simulation-as-a-service frontend: a
   JSON-over-HTTP API with content-hash dedup, a shared blob store of
   setup-prefix snapshots, backpressure and per-client rate limits (see
@@ -29,7 +34,9 @@ Commands:
 The heavyweight regeneration of *every* table and figure lives in
 ``pytest benchmarks/ --benchmark-only``; the CLI is the fast,
 exploratory front end.  ``run``, ``reproduce`` and ``sweep`` all execute
-through the same :mod:`repro.harness.sweep` engine.
+through the same :mod:`repro.harness.sweep` engine.  The simulator's own
+speed is measured by ``benchmarks/e2e`` (see ``docs/PERFORMANCE.md``),
+not by a command here.
 """
 
 from __future__ import annotations
@@ -332,87 +339,6 @@ def cmd_sweep(args) -> int:
         if not _write_text(args.csv, results_to_csv(rows)):
             return 2
         print(f"wrote {len(rows)} rows to {args.csv}")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    """Benchmark the simulation kernel; see docs/PERFORMANCE.md."""
-    from repro.harness.perf import (
-        BENCHMARKS,
-        check_regressions,
-        compare_results,
-        load_bench_json,
-        run_benchmarks,
-        results_to_json,
-    )
-
-    # --cprofile prints its table and writes no JSON.
-    if not args.cprofile and _missing_directory(args.output):
-        return 2
-    try:
-        names = _split(args.benchmarks) or None
-        if args.cprofile:
-            import cProfile
-            import pstats
-
-            if args.cprofile not in BENCHMARKS:
-                raise KeyError(
-                    f"unknown benchmark {args.cprofile!r}; "
-                    f"have {sorted(BENCHMARKS)}"
-                )
-            profiler = cProfile.Profile()
-            profiler.enable()
-            BENCHMARKS[args.cprofile]()
-            profiler.disable()
-            stats = pstats.Stats(profiler, stream=sys.stdout)
-            stats.sort_stats("tottime").print_stats(25)
-            return 0
-        results = run_benchmarks(names, repeat=args.repeat, progress=print)
-    except (KeyError, ValueError) as exc:
-        # KeyError str() wraps its message in quotes; unwrap for stderr.
-        message = exc.args[0] if exc.args else exc
-        print(f"bad profile spec: {message}", file=sys.stderr)
-        return 2
-    if args.output:
-        payload = results_to_json(results, repeat=args.repeat)
-        if not _write_text(args.output, payload):
-            return 2
-        print(f"wrote {args.output}")
-    if args.compare:
-        try:
-            baseline = load_bench_json(pathlib.Path(args.compare).read_text())
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"bad baseline {args.compare}: {exc}", file=sys.stderr)
-            return 2
-        print(f"vs baseline {args.compare}:")
-        print(compare_results(results, baseline))
-        # --compare is a gate, not just a report: a regression past
-        # --max-regression fails the run even without --check (or
-        # REPRO_PERF_STRICT), so CI cannot silently pass.
-        failures = check_regressions(
-            results, baseline, factor=args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-            return 1
-    if args.check:
-        try:
-            baseline = load_bench_json(pathlib.Path(args.check).read_text())
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"bad baseline {args.check}: {exc}", file=sys.stderr)
-            return 2
-        failures = check_regressions(
-            results, baseline, factor=args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"within {args.max_regression:g}x of baseline {args.check} "
-            f"({len(results)} benchmarks)"
-        )
     return 0
 
 
@@ -966,50 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
         "own keys and never alias exact ones",
     )
     sweep.set_defaults(func=cmd_sweep)
-
-    profile = sub.add_parser(
-        "profile",
-        help="benchmark the simulator and write BENCH_engine.json",
-    )
-    profile.add_argument(
-        "--benchmarks",
-        help="comma list: engine_churn,fault_storm,macro_vgg16,"
-        "snapshot_fork (default all)",
-    )
-    profile.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="repeats per benchmark; wall time is the best (default 3)",
-    )
-    profile.add_argument(
-        "--output",
-        default="BENCH_engine.json",
-        help="results file (default BENCH_engine.json; '' to skip)",
-    )
-    profile.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against a baseline JSON; exit 1 on regression",
-    )
-    profile.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        help="print per-benchmark wall-time deltas against a baseline "
-        "JSON (informational; never fails)",
-    )
-    profile.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail --check when wall time exceeds this factor (default 2.0)",
-    )
-    profile.add_argument(
-        "--cprofile",
-        metavar="BENCH",
-        help="run one benchmark under cProfile and print the top 25",
-    )
-    profile.set_defaults(func=cmd_profile)
 
     fastmodel = sub.add_parser(
         "fastmodel",

@@ -448,7 +448,9 @@ class UvmDriver:
 
         Freeing implies the data is dead, so any pending transfer records
         resolve as redundant and GPU frames go to the unused queue where
-        they can be handed out again with no migration (§5.5).
+        they can be handed out again with no migration (§5.5).  No block
+        lock is taken: a block freed while its writeback is on the wire
+        is finished by :meth:`_acquire_frames`, which leaves it unmapped.
         """
         blocks = list(blocks)
         self.rmt.on_discards(blocks)
@@ -641,14 +643,18 @@ class UvmDriver:
                                     index, span_bytes, d2h,
                                     eviction, rec, victim,
                                 )
-                                victim.residency = CPU
-                                map_cost = (
-                                    0.0
-                                    if cpu_table.is_mapped(index)
-                                    else cpu_table.map_block(index)
-                                )
-                                if not advance(map_cost):
-                                    yield timeout(map_cost)
+                                # A block freed during its writeback
+                                # (release_blocks takes no lock and
+                                # clears the residency) stays unmapped.
+                                if victim.residency is not None:
+                                    victim.residency = CPU
+                                    map_cost = (
+                                        0.0
+                                        if cpu_table.is_mapped(index)
+                                        else cpu_table.map_block(index)
+                                    )
+                                    if not advance(map_cost):
+                                        yield timeout(map_cost)
                             else:
                                 victim.residency = None
                                 if not advance(cost):

@@ -7,7 +7,9 @@ awaitable primitives:
 - :class:`~repro.engine.core.Timeout` — advance the virtual clock,
 - :class:`~repro.engine.core.Event` — wait until another process triggers,
 - :class:`~repro.engine.core.Process` — wait for a child process to finish,
-- :class:`~repro.engine.resources.Request` — acquire a FIFO resource slot.
+- :class:`~repro.engine.resources.Request` — acquire a slot of a FIFO
+  :class:`~repro.engine.resources.Resource`, the engine's one shared
+  primitive.
 
 Every scheduled event carries a ``(time, sequence)`` key.  Future events
 wait in per-timestamp FIFO buckets ordered by a heap of their distinct
@@ -17,7 +19,7 @@ produce identical traces, which the test suite relies on heavily.
 """
 
 from repro.engine.core import Environment, Event, Process, Timeout
-from repro.engine.resources import Resource, Store
+from repro.engine.resources import Resource
 
 __all__ = [
     "Environment",
@@ -25,5 +27,4 @@ __all__ = [
     "Process",
     "Timeout",
     "Resource",
-    "Store",
 ]

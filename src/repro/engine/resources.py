@@ -2,15 +2,14 @@
 
 :class:`Resource` models a pool of identical slots acquired in FIFO order;
 the simulator uses one for each GPU's SM engine (kernel serialization) and
-one per copy-engine direction (transfer serialization).  :class:`Store`
-is an unbounded FIFO of items used for work queues between processes.
+one per copy-engine direction (transfer serialization).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from sys import getrefcount
-from typing import Any, Deque, List, Optional
+from typing import Deque, List
 
 from repro.engine.core import Environment, Event, _PENDING
 from repro.errors import SimulationError
@@ -163,70 +162,3 @@ class Resource:
             sequence = env._sequence
             env._sequence = sequence + 1
             env._now_queue.append((sequence, granted))
-
-
-class Store:
-    """An unbounded FIFO of items with blocking ``get``.
-
-    ``put`` never blocks.  ``get`` returns an event that fires with the
-    oldest item, blocking the caller until one is available.
-    """
-
-    __slots__ = ("env", "_items", "_getters", "_spare")
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        # One recycled born-processed event for the item-available fast
-        # path of get().  Reused only once the previous getter's frame
-        # has dropped its reference (refcount check), so each consumer
-        # observes a normal one-shot event.
-        self._spare: Optional[Event] = None
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append ``item``, waking the oldest blocked getter if any."""
-        if self._getters:
-            # Inlined .succeed(item): a queued getter cannot be triggered.
-            getter = self._getters.popleft()
-            getter._value = item
-            getter._scheduled = True
-            env = getter.env
-            sequence = env._sequence
-            env._sequence = sequence + 1
-            env._now_queue.append((sequence, getter))
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """An event firing with the next item (immediately if available).
-
-        When an item is already available the returned event is *born
-        processed* (like :meth:`Resource.try_acquire`): yielding it costs
-        one synchronous ``send`` and no heap traffic, and its ``value``
-        is readable immediately.  Only an empty store parks the getter on
-        a scheduled event.  FIFO fairness among getters is unaffected —
-        getters only ever queue when the store is empty.
-        """
-        env = self.env
-        if self._items:
-            event = self._spare
-            if event is not None and getrefcount(event) == 2:
-                # 2 == self._spare + the getrefcount argument: the last
-                # getter is done with it.
-                event._value = self._items.popleft()
-                return event
-            event = Event.__new__(Event)
-            event.env = env
-            event.callbacks = None
-            event._value = self._items.popleft()
-            event._exception = None
-            event._scheduled = True
-            self._spare = event
-            return event
-        event = env.event()
-        self._getters.append(event)
-        return event

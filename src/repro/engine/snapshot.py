@@ -130,10 +130,6 @@ class EngineSnapshot(Generic[T]):
         """An independent restored copy of the captured simulation."""
         return pickle.loads(self._blob)
 
-    def payload_nbytes(self) -> int:
-        """Exact size of the frozen payload blob, in bytes."""
-        return len(self._blob)
-
 
 @functools.lru_cache(maxsize=None)
 def source_fingerprint() -> str:

@@ -107,6 +107,16 @@ def collect_invariant_problems(
                         f"{block.residency}"
                     )
         problems.extend(_discard_semantics_problems(inspection, block))
+    # Every mapping belongs to a registered block: the checks above never
+    # see a freed block that something mapped again.
+    mappings = [("the CPU", inspection.cpu_mapped)] + [
+        (name, gpu.mapped_blocks) for name, gpu in inspection.gpus.items()
+    ]
+    for name, mapped in mappings:
+        for index in sorted(mapped - inspection.blocks.keys() - inflight):
+            problems.append(
+                f"block {index}: mapped on {name} but not registered"
+            )
     return problems
 
 

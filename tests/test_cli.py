@@ -280,59 +280,6 @@ class TestFastMode:
         assert "+fast" in out
 
 
-def _engine_churn_baseline(tmp_path, wall_seconds):
-    """A one-benchmark baseline file claiming ``wall_seconds``."""
-    from repro.harness.perf import results_to_json
-
-    path = tmp_path / f"baseline-{wall_seconds:g}.json"
-    path.write_text(
-        results_to_json({"engine_churn": {"wall_seconds": wall_seconds}}, 1)
-    )
-    return str(path)
-
-
-class TestProfileCompare:
-    # The baselines are written here, far above or below any real run,
-    # so the outcome does not depend on how fast this host is.
-
-    def test_compare_prints_delta_table(self, tmp_path, capsys):
-        assert main([
-            "profile",
-            "--benchmarks", "engine_churn",
-            "--repeat", "1",
-            "--output", "",
-            "--compare", _engine_churn_baseline(tmp_path, 1000.0),
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "vs baseline" in captured.out
-        assert "engine_churn" in captured.out
-        assert "speedup" in captured.out
-        assert "PERF REGRESSION" not in captured.err
-
-    def test_compare_regression_exits_1(self, tmp_path, capsys):
-        assert main([
-            "profile",
-            "--benchmarks", "engine_churn",
-            "--repeat", "1",
-            "--output", "",
-            "--compare", _engine_churn_baseline(tmp_path, 1e-6),
-        ]) == 1
-        captured = capsys.readouterr()
-        assert "speedup" in captured.out  # the table still prints
-        assert "PERF REGRESSION: engine_churn" in captured.err
-
-    def test_compare_bad_baseline_exits_2(self, tmp_path, capsys):
-        bogus = tmp_path / "nope.json"
-        assert main([
-            "profile",
-            "--benchmarks", "engine_churn",
-            "--repeat", "1",
-            "--output", "",
-            "--compare", str(bogus),
-        ]) == 2
-        assert "bad baseline" in capsys.readouterr().err
-
-
 class TestChaosWorkloadListing:
     """The --workloads error is a contract: it must name every catalog
     entry so the listing can never drift from ``CHAOS_WORKLOADS``."""
@@ -495,7 +442,6 @@ class TestOutputPaths:
         import repro.chaos
         import repro.cli as cli
         import repro.fastmodel.calibrate as calibrate
-        import repro.harness.perf as perf
         import repro.serve.loadgen as loadgen
 
         def refuse(*args, **kwargs):
@@ -503,7 +449,6 @@ class TestOutputPaths:
 
         monkeypatch.setattr(cli, "_execute_points", refuse)
         monkeypatch.setattr(cli, "run_sweep", refuse)
-        monkeypatch.setattr(perf, "run_benchmarks", refuse)
         monkeypatch.setattr(loadgen, "run_load", refuse)
         monkeypatch.setattr(repro.chaos, "run_chaos_suite", refuse)
         monkeypatch.setattr(calibrate, "calibrate", refuse)
@@ -516,7 +461,6 @@ class TestOutputPaths:
             ["sweep", "--workloads", "fir", "--scale", "0.01", "--no-cache",
              "--csv"],
             ["reproduce", "--scale", "0.01", "--output"],
-            ["profile", "--output"],
             ["loadgen", "--url", "http://127.0.0.1:9", "--report"],
             ["chaos", "--trace"],
             ["fastmodel", "calibrate", "--", "--quiet", "--output"],

@@ -16,7 +16,10 @@ from repro.errors import (
     OutOfMemoryError,
     SimulationError,
 )
-from repro.harness.validation import check_transfer_conservation
+from repro.harness.validation import (
+    check_transfer_conservation,
+    collect_invariant_problems,
+)
 from repro.instrument.traffic import TransferReason
 from repro.interconnect import pcie_gen4
 from repro.memsim.zeroing import ZeroFillModel
@@ -266,7 +269,8 @@ class TestFrameAcquisitionRareCases:
     """The rare cases of frame acquisition (§5.5): victims locked by a
     concurrent operation, the wait when every victim is locked, the chaos
     takeover of a reserved frame, an armed link fault on the writeback,
-    and how reservation and retirement end when no frame can be found.
+    a buffer freed during a writeback, and how reservation and
+    retirement end when no frame can be found.
     A test holding ``try_lock_blocks`` stands in for the concurrent
     operation."""
 
@@ -420,6 +424,39 @@ class TestFrameAcquisitionRareCases:
         assert newcomer.frame is freed_frame
         view = driver.inspect().gpus["gpu0"]
         assert (view.unused_queue_frames, view.free_frames) == (0, 1)
+
+    def test_victim_freed_mid_writeback_stays_unmapped(self):
+        """A buffer freed while its block's writeback is on the wire: the
+        block ends with no residency and no CPU mapping, its frame goes
+        to the waiting block, and the bytes already moved count as D2H
+        traffic resolved redundant."""
+        env, driver = make_driver(capacity_mib=4)  # 2 frames
+        a, b = resident_written(env, driver, 2)
+        freed_frame = a.frame
+        (newcomer,) = make_blocks(driver, 1, start_index=2000)
+        config = driver.config
+        command = config.prefetch_command_overhead + config.prefetch_per_block
+        wire = driver.link.transfer_time(BIG_PAGE, chunk=BIG_PAGE)
+        during = []
+
+        def release_mid_wire():
+            yield env.timeout(command + wire / 2)
+            during.append(a.index in driver.inspect().inflight)
+            driver.release_blocks([a])
+
+        env.process(release_mid_wire())
+        run(env, driver.prefetch([newcomer], "gpu0"))
+        assert during == [True]
+        assert a.residency is None and a.frame is None
+        assert not driver.cpu_page_table.is_mapped(a.index)
+        assert newcomer.frame is freed_frame
+        assert driver.traffic.bytes_d2h == BIG_PAGE
+        assert collect_invariant_problems(driver.inspect()) == []
+        check_transfer_conservation(driver)
+        driver.finalize()
+        assert (driver.rmt.useful_bytes, driver.rmt.redundant_bytes) == (
+            0, BIG_PAGE
+        )
 
     def test_discarded_victim_frees_its_frame_before_a_pte_clear_wait(self):
         """A lazily discarded victim's PTE clear is cut short by another

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.core import Environment, Timeout
-from repro.engine.resources import Request, Resource, Store
+from repro.engine.resources import Request, Resource
 
 
 class Boom(RuntimeError):
@@ -56,48 +56,6 @@ class TestAllOfFailure:
 
         env.process(waiter())
         env.run()
-
-
-class TestStoreOrdering:
-    def test_simultaneous_puts_wake_getters_in_fifo_order(self):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def getter(name):
-            item = yield store.get()
-            received.append((name, item, env.now))
-
-        def putter():
-            yield env.timeout(1.0)
-            # Both puts land at the same timestamp; the oldest blocked
-            # getter must receive the oldest item.
-            store.put("first")
-            store.put("second")
-
-        env.process(getter("g1"))
-        env.process(getter("g2"))
-        env.process(putter())
-        env.run()
-        assert received == [
-            ("g1", "first", pytest.approx(1.0)),
-            ("g2", "second", pytest.approx(1.0)),
-        ]
-
-    def test_put_before_get_keeps_fifo(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        out = []
-
-        def drain():
-            out.append((yield store.get()))
-            out.append((yield store.get()))
-
-        env.process(drain())
-        env.run()
-        assert out == [1, 2]
 
 
 class TestTryAcquire:

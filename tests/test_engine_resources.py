@@ -1,4 +1,4 @@
-"""Tests for engine resources (FIFO slots) and stores."""
+"""Tests for engine resources (FIFO slots)."""
 
 import gc
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine import Environment, Resource, Store
+from repro.engine import Environment, Resource
 from repro.errors import SimulationError
 
 
@@ -139,62 +139,6 @@ class TestReleasedRequestsLeaveNoCycles:
         resource.release(fresh)
         del private, recycled, elsewhere, fresh
         assert gc.collect() == 0
-
-
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-        seen = {}
-
-        def consumer():
-            seen["item"] = yield store.get()
-
-        store.put("x")
-        env.process(consumer())
-        env.run()
-        assert seen["item"] == "x"
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-        seen = {}
-
-        def consumer():
-            seen["item"] = yield store.get()
-            seen["time"] = env.now
-
-        def producer():
-            yield env.timeout(3.0)
-            store.put("late")
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert seen["item"] == "late"
-        assert seen["time"] == pytest.approx(3.0)
-
-    def test_fifo_order(self):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def consumer():
-            for _ in range(3):
-                received.append((yield store.get()))
-
-        for item in (1, 2, 3):
-            store.put(item)
-        env.process(consumer())
-        env.run()
-        assert received == [1, 2, 3]
-
-    def test_len_tracks_items(self):
-        store = Store(Environment())
-        assert len(store) == 0
-        store.put("a")
-        store.put("b")
-        assert len(store) == 2
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=20))

@@ -110,10 +110,23 @@ class TestPickleParity:
         snapshot = EngineSnapshot(env)
         clone = EngineSnapshot.from_blob(snapshot.to_blob())
         assert clone.to_blob() == snapshot.to_blob()
-        assert clone.payload_nbytes() == len(snapshot.to_blob())
         forked = clone.fork()
         assert forked.now == env.now
         assert forked is not env
+
+    def test_warm_vgg16_prefix_blob_size_is_pinned(self):
+        """One warm VGG-16 setup prefix pickles to an exact byte count
+        (it does not depend on the hash seed), so a change to what a
+        prefix carries shows here."""
+        point = SweepPoint(
+            workload="dl:vgg16",
+            system="UvmDiscard",
+            batch_size=8,
+            scale=0.03125,
+            batches=12,
+        )
+        snapshot = EngineSnapshot(build_prefix(plan_for(point)))
+        assert len(snapshot.to_blob()) == 22804
 
     def test_snapshot_refuses_unpicklable_quiescent_graph(self):
         class Opaque:

@@ -309,8 +309,8 @@ def test_fig5_subgrid_speedup_and_cache_identity(tmp_path):
     ``--jobs 4`` must report exactly what ``--jobs 1`` does, and an
     immediate re-run must serve every point from cache with identical
     values.  The wall-clock half of the check (``--jobs 4`` beating
-    ``--jobs 1``) depends on host speed and lives with the other
-    wall-clock gates in ``benchmarks/perf`` (``REPRO_PERF_STRICT=1``).
+    ``--jobs 1``) depends on host speed and lives in
+    ``benchmarks/perf/test_sweep_speedup.py`` (``REPRO_PERF_STRICT=1``).
     """
     points = [
         SweepPoint(workload="dl:vgg16", system=system, batch_size=batch)

@@ -9,7 +9,8 @@ The contracts under test (docs/OBSERVABILITY.md):
   seeds produce different timelines;
 - the exported JSON is valid Chrome trace-event format and carries the
   expected categories and per-device/link tracks;
-- tracing never perturbs simulation results;
+- tracing never perturbs simulation results, and an untraced run
+  calls no method of the disabled tracer;
 - the ``link/h2d`` and ``link/d2h`` spans account for every migrated
   byte of the run's recorded totals;
 - the record cap converts overflow into a dropped-record count, which
@@ -29,6 +30,7 @@ from repro.harness.sweep import SweepPoint, execute_point
 from repro.harness.tracerun import trace_point
 from repro.instrument.trace import (
     NULL_TRACER,
+    NullTracer,
     TraceConfig,
     Tracer,
     merge_chrome_traces,
@@ -109,6 +111,94 @@ class TestNonPerturbation:
         )
         with pytest.raises(ConfigurationError):
             trace_point(point)
+
+
+#: Every method of the disabled tracer.
+NULL_TRACER_METHODS = (
+    "span", "instant", "note_op", "op_for", "observe", "install", "uninstall"
+)
+
+#: Untraced points that between them reach the fault, eviction,
+#: writeback, prefetch, eager and lazy discard, kernel and stream paths:
+#: every UVMBench category and hashjoin under each UVM system, plus
+#: radix, fir and two DL networks, all oversubscribed at scale 1/32.
+UNTRACED_POINTS = [
+    SweepPoint(workload, system, ratio=2.0, scale=0.03125)
+    for workload in ("bfs", "kmeans", "knn", "stencil", "reduction", "hashjoin")
+    for system in ("UVM-opt", "UvmDiscard", "UvmDiscardLazy")
+] + [
+    SweepPoint("radix", "UvmDiscard", ratio=2.0, scale=0.03125),
+    SweepPoint("fir", "UvmDiscard", ratio=2.0, scale=0.03125),
+    SweepPoint("dl:vgg16", "UvmDiscard", batch_size=125, scale=0.03125),
+    SweepPoint("dl:resnet53", "UvmDiscardLazy", batch_size=56, scale=0.03125),
+]
+
+
+def _small_runtime():
+    import numpy as np
+
+    from repro.cuda.runtime import CudaRuntime
+
+    runtime = CudaRuntime()
+
+    def program(cuda):
+        from repro.workloads.vector_add import uvm_vector_add
+
+        result = yield from uvm_vector_add(cuda, 1 << 16)
+        assert np.allclose(result, np.arange(1 << 16, dtype=np.float32) + 2.0)
+
+    runtime.run(program)
+    return runtime
+
+
+class TestFreeWhenDisabled:
+    """Tracing costs nothing when no tracer is installed: every
+    instrumented object keeps the shared :data:`NULL_TRACER`, and an
+    untraced run never calls it, so its whole cost is the
+    ``tracer.enabled`` tests at the instrumented sites."""
+
+    def test_untraced_run_keeps_null_tracer_everywhere(self):
+        runtime = _small_runtime()
+        assert runtime.tracer is NULL_TRACER
+        assert runtime.driver.tracer is NULL_TRACER
+        assert runtime.driver.migration.tracer is NULL_TRACER
+        for executor in runtime.executors.values():
+            assert executor.tracer is NULL_TRACER
+        for stream in runtime.streams():
+            assert stream.tracer is NULL_TRACER
+
+    def test_null_tracer_survives_copies(self):
+        import copy
+
+        assert copy.copy(NULL_TRACER) is NULL_TRACER
+        assert copy.deepcopy(NULL_TRACER) is NULL_TRACER
+        assert not NULL_TRACER.enabled
+        assert NULL_TRACER.span("t", "n", 0.0, 1.0) == -1
+        assert NULL_TRACER.instant("t", "n", 0.0) == -1
+
+    def test_untraced_simulate_calls_no_tracer_method(self, monkeypatch):
+        public = {
+            name
+            for name, value in vars(NullTracer).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert public == set(NULL_TRACER_METHODS)
+        calls = []
+        for name in NULL_TRACER_METHODS:
+            method = getattr(NullTracer, name)
+
+            def counted(self, *args, _name=name, _method=method, **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(NullTracer, name, counted)
+        for point in UNTRACED_POINTS:
+            result, _ = simulate(plan_for(point))
+            assert result is not None, point.label
+            assert calls == [], point.label
+        # The counting itself works.
+        NULL_TRACER.observe("probe", 0.0)
+        assert calls == ["observe"]
 
 
 class TestChromeExport:

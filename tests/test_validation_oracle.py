@@ -144,6 +144,21 @@ class TestCorruptionDetection:
         problems = problems_of(runtime)
         assert any("without a recorded write-after-discard" in p for p in problems)
 
+    def test_mapping_of_an_unregistered_block_detected(self):
+        runtime = resident_runtime()
+        driver = runtime.driver
+        gpu_name = gpu_block(runtime).residency
+        # A freed block that something maps again, on each side.
+        freed = max(driver._blocks) + 1
+        driver.cpu_page_table.map_block(freed)
+        driver.gpu_page_table(gpu_name).map_block(freed)
+        expected = [
+            f"block {freed}: mapped on the CPU but not registered",
+            f"block {freed}: mapped on {gpu_name} but not registered",
+        ]
+        assert problems_of(runtime) == expected
+        assert problems_of(runtime, True) == expected
+
     def test_conservation_corruption_detected(self):
         runtime = resident_runtime()
         assert collect_conservation_problems(runtime.driver) == []
