@@ -22,8 +22,8 @@ from repro.access import AccessMode
 from repro.core.semantics import DataOracle
 from repro.driver.config import UvmDriverConfig
 from repro.driver.inspect import BlockView, DriverInspection, GpuView
-from repro.driver.migration import CopyEngines, MigrationEngine
-from repro.driver.queues import GpuPageQueues
+from repro.driver.migration import CopyEngines, MigrationEngine, block_chunk
+from repro.driver.queues import DiscardedQueue, GpuPageQueues
 from repro.driver.va_block import CPU, DiscardKind, VaBlock
 from repro.engine.core import Environment
 from repro.errors import (
@@ -38,7 +38,6 @@ from repro.instrument.trace import NULL_TRACER
 from repro.instrument.traffic import TrafficRecorder, TransferDirection, TransferReason
 from repro.interconnect.link import Link
 from repro.memsim.frames import Frame, FrameAllocator
-from repro.units import BIG_PAGE, SMALL_PAGE
 from repro.memsim.zeroing import ZeroFillModel
 from repro.vm.page_table import BitmapPageTable, MappingCosts
 
@@ -447,27 +446,35 @@ class UvmDriver:
         """Free an allocation: drop residency with no transfers.
 
         Freeing implies the data is dead, so any pending transfer records
-        resolve as redundant and GPU frames go to the unused queue where
-        they can be handed out again with no migration (§5.5).  No block
-        lock is taken: a block freed while its writeback is on the wire
-        is finished by :meth:`_acquire_frames`, which leaves it unmapped.
+        resolve as redundant and GPU frames go to the unused queue of the
+        GPU that owns them, where they can be handed out again with no
+        migration (§5.5).  No block lock is taken: a block freed while it
+        migrates or is written back ends released here, with no
+        residency, frame or mapping, and the operation moving it leaves
+        it so; the bytes already moved resolve as redundant at
+        :meth:`finalize`.
         """
         blocks = list(blocks)
         self.rmt.on_discards(blocks)
+        gpus = self._gpus
+        cpu_table = self.cpu_page_table
         for block in blocks:
+            index = block.index
             if block.on_gpu:
-                g = self._gpu(block.residency)  # type: ignore[arg-type]
-                g.queues.forget(block)
-                if g.page_table.is_mapped(block.index):
-                    g.page_table.unmap_block(block.index)
-                if block.frame is not None:
-                    g.queues.unused.append(block.frame)
-            if self.cpu_page_table.is_mapped(block.index):
-                self.cpu_page_table.unmap_block(block.index)
+                self._gpu(block.residency).queues.forget(block)  # type: ignore[arg-type]
+            # A migration to a GPU maps the block there before its wire.
+            for g in gpus.values():
+                if g.page_table.is_mapped(index):
+                    g.page_table.unmap_block(index)
+            frame = block.frame
+            if frame is not None:
+                gpus[frame.owner].queues.unused.append(frame)
+            if cpu_table.is_mapped(index):
+                cpu_table.unmap_block(index)
             block.frame = None
             block.residency = None
             block.populated = False
-            self._blocks.pop(block.index, None)
+            self._blocks.pop(index, None)
 
     # ------------------------------------------------------------------
     # frame acquisition and eviction (§5.5)
@@ -476,7 +483,7 @@ class UvmDriver:
     def _acquire_frames(
         self,
         g: _GpuState,
-        blocks: Iterable,
+        blocks: Sequence,
         locked: Sequence[VaBlock] = (),
         claim: Optional[Callable[[bool], bool]] = None,
     ) -> Generator:
@@ -508,6 +515,12 @@ class UvmDriver:
         step 1, taking one free frame for the caller or returning False
         when there is none; ``evicted`` tells whether this routine
         evicted a victim since the previous call.
+
+        A fault, prefetch or peer group that is neither traced nor run
+        under a fault injector takes step 2 as a run first: the victims
+        its waiting blocks need whose waits nothing can overtake are
+        evicted in one step (:meth:`_evict_run`), and the per-victim body
+        takes the first victim that does not fit.
         """
         env = self.env
         advance = env.advance
@@ -521,16 +534,18 @@ class UvmDriver:
             g.queues.discarded if self.config.discarded_queue_enabled else None
         )
         page_table = g.page_table
-        cpu_table = self.cpu_page_table
         d2h_engine = g.engines.d2h
         migration = self.migration
         link = migration.link
         traced = self.tracer.enabled
-        d2h = TransferDirection.DEVICE_TO_HOST
-        eviction = TransferReason.EVICTION
+        runs = claim is None and not traced and self.chaos is None
         own = None
         evicted = False
-        for block in blocks:
+        count = len(blocks)
+        at = 0
+        while at < count:
+            block = blocks[at]
+            served = 1
             stalls = 0
             while True:
                 # 1. A frame that needs no eviction.
@@ -547,7 +562,18 @@ class UvmDriver:
                 elif allocator.free_frames:
                     block.frame = allocator.allocate()
                     break
-                # 2. Evict the first unlocked victim.
+                # 2. Evict: a run of victims in one step, then one victim.
+                if runs:
+                    frames = self._evict_run(g, discarded, count - at)
+                    if frames:
+                        # Each victim's frame goes to its waiting block.
+                        served = len(frames)
+                        for frame, waiting in zip(
+                            frames, blocks[at : at + served]
+                        ):
+                            frame.prepared = False
+                            waiting.frame = frame
+                        break
                 victim = (
                     None if discarded is None else discarded.pop_unlocked(inflight)
                 )
@@ -576,15 +602,7 @@ class UvmDriver:
                                 if not advance(cost):
                                     yield timeout(cost)
                                 span_bytes = victim.used_bytes
-                                chunk = (
-                                    SMALL_PAGE
-                                    if victim.split
-                                    else (
-                                        span_bytes
-                                        if span_bytes < BIG_PAGE
-                                        else BIG_PAGE
-                                    )
-                                )
+                                chunk = block_chunk(victim)
                                 wire_started = env.now if traced else 0.0
                                 # On an idle engine a wire wait that
                                 # advances in place lets nothing else run,
@@ -623,38 +641,19 @@ class UvmDriver:
                                         d2h_engine.release(request)
                                 if traced:
                                     migration.trace_command(
-                                        f"link/{d2h.value}",
-                                        eviction.value,
+                                        "link/d2h",
+                                        TransferReason.EVICTION.value,
                                         wire_started,
+                                        env.now,
                                         span_bytes,
                                         index,
                                         1,
                                     )
-                                rec = migration.traffic.record(
-                                    env.now,
-                                    d2h,
-                                    span_bytes,
-                                    eviction,
-                                    first_block=index,
-                                    num_blocks=1,
-                                    blocks=(victim,),
+                                map_cost = self._land_writebacks(
+                                    (victim,), (env.now,)
                                 )
-                                migration.rmt.on_transfer(
-                                    index, span_bytes, d2h,
-                                    eviction, rec, victim,
-                                )
-                                # A block freed during its writeback
-                                # (release_blocks takes no lock and
-                                # clears the residency) stays unmapped.
-                                if victim.residency is not None:
-                                    victim.residency = CPU
-                                    map_cost = (
-                                        0.0
-                                        if cpu_table.is_mapped(index)
-                                        else cpu_table.map_block(index)
-                                    )
-                                    if not advance(map_cost):
-                                        yield timeout(map_cost)
+                                if map_cost is not None and not advance(map_cost):
+                                    yield timeout(map_cost)
                             else:
                                 victim.residency = None
                                 if not advance(cost):
@@ -721,6 +720,143 @@ class UvmDriver:
                     yield event  # type: ignore[misc]
                 finally:
                     self.frame_waiters -= 1
+            at += served
+
+    def _evict_run(
+        self, g: _GpuState, discarded: Optional[DiscardedQueue], need: int
+    ) -> List[Frame]:
+        """Evict, in one step, up to ``need`` victims whose waits nothing
+        can overtake; return their frames in eviction order.
+
+        The victims are the ones the per-victim body of
+        :meth:`_acquire_frames` would take next, in its order: the
+        discarded FIFO (``discarded``; ``None`` when the queue is off),
+        then the used LRU, each skipping locked blocks in place.  The run
+        extends while each victim's waits, summed on a local clock, would
+        advance in place (:meth:`~repro.engine.core.Environment.horizon`):
+        a reclaim's PTE clear when the block is still mapped, or a used
+        block's PTE clear and, for a writeback, its D2H wire (on an idle
+        engine with no link fault armed) and its CPU map.  It ends before
+        a victim the per-victim body must take alone: one with no frame,
+        a misused lazy discard (its data-loss record reads the clock) and
+        a writeback already mapped on the CPU (its zero-cost map is a
+        real timeout).  Nothing is done when the clock cannot move.
+
+        The step pops the run from its queues, clears its GPU PTEs in one
+        call, lands its writebacks in one call, bumps the eviction
+        counter once and commits the clock once.
+        """
+        env = self.env
+        clock = env.now
+        horizon = env.horizon()
+        if not clock < horizon:
+            return []
+        inflight = self._inflight
+        page_table = g.page_table
+        moves = 0
+        reclaims: List[VaBlock] = []
+        fits = True
+        if discarded is not None:
+            clear = page_table.unmap_cost
+            for victim in discarded.unlocked(inflight):
+                if len(reclaims) == need:
+                    break
+                if victim.frame is None or victim.written_since_discard:
+                    fits = False
+                    break
+                if page_table.is_mapped(victim.index):
+                    end = clock + clear
+                    if not clock < end <= horizon:
+                        fits = False
+                        break
+                    clock = end
+                    moves += 1
+                reclaims.append(victim)
+        evictions: List[VaBlock] = []
+        dropped: List[VaBlock] = []
+        writebacks: List[VaBlock] = []
+        wire_ends: List[float] = []
+        left = need - len(reclaims)
+        if fits and left:
+            clear = page_table.unmap_tlb_cost
+            cpu_table = self.cpu_page_table
+            map_cost = cpu_table.map_cost
+            link = self.migration.link
+            writes_back = not link._armed_faults and g.engines.d2h.idle
+            for victim in g.queues.used.unlocked(inflight):
+                if victim.frame is None:
+                    break
+                end = clock + clear
+                if not clock < end <= horizon:
+                    break
+                if victim.populated and not victim.discarded:
+                    if not writes_back or cpu_table.is_mapped(victim.index):
+                        break
+                    wire_end = end + link.transfer_time(
+                        victim.used_bytes, chunk=block_chunk(victim)
+                    )
+                    mapped = wire_end + map_cost
+                    if not end < wire_end < mapped <= horizon:
+                        break
+                    writebacks.append(victim)
+                    wire_ends.append(wire_end)
+                    clock = mapped
+                    moves += 3
+                else:
+                    dropped.append(victim)
+                    clock = end
+                    moves += 1
+                evictions.append(victim)
+                left -= 1
+                if not left:
+                    break
+        frames: List[Frame] = []
+        if reclaims:
+            discarded.remove_all(reclaims)  # type: ignore[union-attr]
+            for victim in reclaims:
+                frames.append(victim.frame)
+                self._reclaim_discarded_block(g, victim)
+        if evictions:
+            g.queues.used.remove_all(evictions)
+            page_table.unmap_blocks([victim.index for victim in evictions])
+            for victim in dropped:
+                victim.residency = None
+            if writebacks:
+                self._land_writebacks(writebacks, wire_ends)
+            for victim in evictions:
+                frames.append(victim.frame)
+                victim.frame = None
+            self.counters.bump(Counters.EVICTED_BLOCKS, len(evictions))
+        if moves:
+            env.advance_to(clock, moves)
+        return frames
+
+    def _land_writebacks(
+        self, victims: Sequence[VaBlock], ends: Sequence[float]
+    ) -> Optional[float]:
+        """Land the writebacks of ``victims``, whose wires ended at
+        ``ends``: record each as eviction traffic at its wire's end, open
+        its RMT hop, and make each victim still registered resident and
+        mapped on the CPU.  A block freed during its writeback
+        (:meth:`release_blocks` takes no lock and clears the residency)
+        stays unmapped.  Returns the CPU map cost of the victims that
+        landed, ``None`` when none did."""
+        records = self.traffic.record_run(
+            ends,
+            TransferDirection.DEVICE_TO_HOST,
+            TransferReason.EVICTION,
+            victims,
+        )
+        self.rmt.on_transfers(victims, records)
+        landed = [victim for victim in victims if victim.residency is not None]
+        if not landed:
+            return None
+        for victim in landed:
+            victim.residency = CPU
+        cpu_table = self.cpu_page_table
+        return cpu_table.map_blocks(
+            [victim.index for victim in cpu_table.unmapped(landed)]
+        )
 
     def _free_pool_frame(self, g: _GpuState) -> bool:
         """Whether ``g`` has a free frame for a reservation or retirement,
@@ -1052,13 +1188,30 @@ class UvmDriver:
                 reason,
                 g.engines,
             )
+            landed = []
             for block in migrate_blocks:
+                if block.residency is None:
+                    self._drop_released(g, block)
+                    continue
                 block.frame.prepared = True  # type: ignore[union-attr]
                 block.residency = gpu_name
-            used_q.touch_all(migrate_blocks)
+                landed.append(block)
+            used_q.touch_all(landed)
 
         if peer_blocks:
             yield from self._migrate_from_peers(g, peer_blocks, reason, blocks)
+
+    def _drop_released(self, g: _GpuState, block: VaBlock) -> None:
+        """Leave ``block``, freed during its migration to ``g``
+        (:meth:`release_blocks` takes no lock), released: a frame it was
+        given since goes to ``g``'s unused queue, and a mapping made
+        since on ``g`` is cleared."""
+        frame = block.frame
+        if frame is not None:
+            block.frame = None
+            g.queues.unused.append(frame)
+        if g.page_table.is_mapped(block.index):
+            g.page_table.unmap_block(block.index)
 
     def _migrate_from_peers(
         self,
@@ -1115,12 +1268,19 @@ class UvmDriver:
                     g.engines,
                 )
             map_cost = 0.0
+            landed = []
             for block, source_frame in zip(group, source_frames):
-                source.allocator.free(source_frame)
+                # None: freed before its source frame was taken.
+                if source_frame is not None:
+                    source.allocator.free(source_frame)
+                if block.residency is None:
+                    self._drop_released(g, block)
+                    continue
                 block.frame.prepared = True  # type: ignore[union-attr]
                 block.residency = g.name
                 map_cost += g.page_table.map_block(block.index)
-            g.queues.used.touch_all(group)
+                landed.append(block)
+            g.queues.used.touch_all(landed)
             if map_cost:
                 yield self.env.timeout(map_cost)
 

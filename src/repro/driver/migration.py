@@ -69,6 +69,15 @@ def coalesce_spans(blocks: Iterable[VaBlock]) -> List[List[VaBlock]]:
     return spans
 
 
+def block_chunk(block: VaBlock) -> int:
+    """The piece size of one block's DMA command: 4 KiB for a block whose
+    2 MiB mapping was split (§5.4), else its bytes up to 2 MiB."""
+    if block.split:
+        return SMALL_PAGE
+    span_bytes = block.used_bytes
+    return span_bytes if span_bytes < BIG_PAGE else BIG_PAGE
+
+
 class CopyEngines:
     """The two DMA engines (one per direction) of a single GPU."""
 
@@ -155,6 +164,7 @@ class MigrationEngine:
         track: str,
         name: str,
         started: float,
+        ended: float,
         span_bytes: int,
         first_block: Optional[int],
         num_blocks: int,
@@ -167,9 +177,7 @@ class MigrationEngine:
         args = {"bytes": span_bytes, "blocks": num_blocks}
         if first_block is not None:
             args["first_block"] = first_block
-        tracer.span(
-            track, name, started, self.env.now, category="migration", args=args
-        )
+        tracer.span(track, name, started, ended, category="migration", args=args)
         tracer.observe("transfer_span_bytes", span_bytes)
 
     def transfer_blocks(
@@ -183,7 +191,10 @@ class MigrationEngine:
 
         A generator process: occupies the direction's copy engine for the
         duration of each command, records traffic, and opens an RMT
-        tracking record per block.
+        tracking record per block.  The spans' wire waits that advance in
+        place (:meth:`~repro.engine.core.Environment.horizon`) move a
+        local clock, committed before the engine is released or a wait
+        yields.
         """
         if not blocks:
             return
@@ -198,8 +209,10 @@ class MigrationEngine:
         env = self.env
         link = self.link
         record = self.traffic.record
-        on_transfer = self.rmt.on_transfer
+        on_transfers = self.rmt.on_transfers
         tracer = self.tracer
+        now = env.now
+        moves = 0
         try:
             if len(blocks) == 1 and not tracer.enabled:
                 # Single-block command (single-block faults and
@@ -209,11 +222,7 @@ class MigrationEngine:
                 # traffic and RMT accounting.
                 block = blocks[0]
                 span_bytes = block.used_bytes
-                chunk = (
-                    SMALL_PAGE
-                    if block.split
-                    else (span_bytes if span_bytes < BIG_PAGE else BIG_PAGE)
-                )
+                chunk = block_chunk(block)
                 if link._armed_faults:
                     yield from self._timed_command(link, span_bytes, chunk)
                 else:
@@ -229,10 +238,9 @@ class MigrationEngine:
                     num_blocks=1,
                     blocks=blocks,
                 )
-                on_transfer(
-                    block.index, span_bytes, direction, reason, rec, block
-                )
+                on_transfers(blocks, None if rec is None else (rec,))
                 return
+            horizon = env.horizon()
             for span in coalesce_spans(blocks):
                 span_bytes = sum(b.used_bytes for b in span)
                 # §5.4: a block whose 2 MiB mapping was split moves in
@@ -241,24 +249,37 @@ class MigrationEngine:
                 chunk = (
                     SMALL_PAGE if span[0].split else min(span_bytes, BIG_PAGE)
                 )
-                started = env.now if tracer.enabled else 0.0
-                if link._armed_faults:
-                    yield from self._timed_command(link, span_bytes, chunk)
+                started = now
+                wire = (
+                    None
+                    if link._armed_faults
+                    else link.transfer_time(span_bytes, chunk=chunk)
+                )
+                if wire is not None and now < now + wire <= horizon:
+                    now += wire
+                    moves += 1
                 else:
-                    wire = link.transfer_time(span_bytes, chunk=chunk)
-                    if not env.advance(wire):
+                    if moves:
+                        env.advance_to(now, moves)
+                        moves = 0
+                    if wire is None:
+                        yield from self._timed_command(link, span_bytes, chunk)
+                    else:
                         yield env.timeout(wire)
+                    now = env.now
+                    horizon = env.horizon()
                 if tracer.enabled:
                     self.trace_command(
                         f"link/{direction.value}",
                         reason.value,
                         started,
+                        now,
                         span_bytes,
                         span[0].index,
                         len(span),
                     )
                 rec = record(
-                    env.now,
+                    now,
                     direction,
                     span_bytes,
                     reason,
@@ -266,16 +287,10 @@ class MigrationEngine:
                     num_blocks=len(span),
                     blocks=span,
                 )
-                for block in span:
-                    on_transfer(
-                        block.index,
-                        block.used_bytes,
-                        direction,
-                        reason,
-                        rec,
-                        block,
-                    )
+                on_transfers(span, None if rec is None else (rec,) * len(span))
         finally:
+            if moves:
+                env.advance_to(now, moves)
             engine.release(request)
 
     def transfer_blocks_peer(
@@ -313,6 +328,7 @@ class MigrationEngine:
                         "link/p2p",
                         TransferReason.FAULT_MIGRATION.value,
                         started,
+                        env.now,
                         span_bytes,
                         span[0].index,
                         len(span),
@@ -326,15 +342,9 @@ class MigrationEngine:
                     num_blocks=len(span),
                     blocks=span,
                 )
-                for block in span:
-                    self.rmt.on_transfer(
-                        block.index,
-                        block.used_bytes,
-                        TransferDirection.DEVICE_TO_DEVICE,
-                        TransferReason.FAULT_MIGRATION,
-                        rec,
-                        block,
-                    )
+                self.rmt.on_transfers(
+                    span, None if rec is None else (rec,) * len(span)
+                )
         finally:
             source_engines.d2h.release(out_request)
             destination_engines.h2d.release(in_request)
@@ -364,6 +374,12 @@ class MigrationEngine:
             engine.release(request)
         if tracer.enabled:
             self.trace_command(
-                f"link/{direction.value}", reason.value, started, nbytes, None, 0
+                f"link/{direction.value}",
+                reason.value,
+                started,
+                self.env.now,
+                nbytes,
+                None,
+                0,
             )
         self.traffic.record(self.env.now, direction, nbytes, reason)

@@ -27,6 +27,9 @@ class _BlockQueue:
 
     __slots__ = ("_order",)
 
+    #: Names the queue in errors.
+    _label = "queue"
+
     def __init__(self) -> None:
         self._order: "OrderedDict[int, VaBlock]" = OrderedDict()
 
@@ -52,6 +55,26 @@ class _BlockQueue:
                 return order.pop(index)
         return None
 
+    def unlocked(self, locked: Container[int]) -> Iterator[VaBlock]:
+        """The queued blocks whose index is not in ``locked``, head
+        first: the order in which :meth:`pop_unlocked` would take them.
+        The queue must not change while the iterator is in use."""
+        for index, block in self._order.items():
+            if index not in locked:
+                yield block
+
+    def remove(self, block: VaBlock) -> None:
+        """Remove ``block``; raises when it is not queued."""
+        if self._order.pop(block.index, None) is None:
+            raise SimulationError(f"{block!r} not in {self._label}")
+
+    def remove_all(self, blocks: Iterable[VaBlock]) -> None:
+        """Remove each of ``blocks``; raises on the first one not queued."""
+        pop = self._order.pop
+        for block in blocks:
+            if pop(block.index, None) is None:
+                raise SimulationError(f"{block!r} not in {self._label}")
+
 
 class UsedQueue(_BlockQueue):
     """Pseudo-LRU queue of in-use va_blocks.
@@ -63,6 +86,8 @@ class UsedQueue(_BlockQueue):
     """
 
     __slots__ = ("_refresh",)
+
+    _label = "used queue"
 
     def __init__(self, eviction_policy: str = "lru") -> None:
         super().__init__()
@@ -92,10 +117,6 @@ class UsedQueue(_BlockQueue):
             elif refresh:
                 move_to_end(index)
 
-    def remove(self, block: VaBlock) -> None:
-        if self._order.pop(block.index, None) is None:
-            raise SimulationError(f"{block!r} not in used queue")
-
     def discard(self, block: VaBlock) -> None:
         """Remove if present; no-op otherwise."""
         self._order.pop(block.index, None)
@@ -110,20 +131,12 @@ class DiscardedQueue(_BlockQueue):
 
     __slots__ = ()
 
+    _label = "discarded queue"
+
     def push(self, block: VaBlock) -> None:
         if block.index in self._order:
             raise SimulationError(f"{block!r} already in discarded queue")
         self._order[block.index] = block
-
-    def remove(self, block: VaBlock) -> None:
-        self.remove_all((block,))
-
-    def remove_all(self, blocks: Iterable[VaBlock]) -> None:
-        """Remove each of ``blocks``; raises on the first one not queued."""
-        pop = self._order.pop
-        for block in blocks:
-            if pop(block.index, None) is None:
-                raise SimulationError(f"{block!r} not in discarded queue")
 
 
 class GpuPageQueues:

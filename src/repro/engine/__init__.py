@@ -16,6 +16,17 @@ wait in per-timestamp FIFO buckets ordered by a heap of their distinct
 times, zero-delay events in a FIFO now-queue, and one run loop pops both
 in exact key order, so runs are fully deterministic: identical inputs
 produce identical traces, which the test suite relies on heavily.
+
+A process may move the clock in place of a timeout that would be the
+next event processed, with itself as the only waiter:
+:meth:`~repro.engine.core.Environment.horizon` is the latest instant it
+may move to (−∞ when it may not), a wait of ``d`` advances in place
+exactly when ``now < now + d <= horizon()``
+(:meth:`~repro.engine.core.Environment.advance`), and a run of such
+waits is committed at once with
+:meth:`~repro.engine.core.Environment.advance_to`.  Either way the
+sequence numbers and event counts the timeouts would have taken are
+used up, so the ``(time, sequence)`` schedule does not change.
 """
 
 from repro.engine.core import Environment, Event, Process, Timeout

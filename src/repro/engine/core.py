@@ -45,15 +45,21 @@ little uniformity for speed:
   waiter.  No :class:`Timeout` is built, scheduled or popped, and the
   caller's generator chain does not suspend and resume; the sequence
   number and the event count the timeout would have taken are used up,
-  so the ``(time, seq)`` schedule is unchanged.  It applies only inside
-  :meth:`Environment.run`, while the event being dispatched has the
-  caller as its one callback and is not the sentinel of
-  ``run(until=event)``, with the now-queue empty, no monitor installed
-  (chaos, the online validator and metric sampling keep the timeout),
-  ``now < now + delay <=`` the run's deadline, and nothing in the heap
-  due at or before ``now + delay``.  The driver's hot waits call it as
-  ``if not env.advance(d): yield env.timeout(d)``; under
-  oversubscription nearly every wait qualifies.
+  so the ``(time, seq)`` schedule is unchanged.  The rule is
+  :meth:`Environment.horizon`'s: a wait of ``d`` advances in place
+  exactly when ``now < now + d <= horizon()``.  The horizon is −∞
+  outside :meth:`Environment.run`, when the event being dispatched has
+  a callback besides the caller or is the sentinel of
+  ``run(until=event)``, while the now-queue holds an event, and while a
+  monitor is installed (chaos, the online validator and metric sampling
+  keep the timeout).  Otherwise it is the run's deadline, or the float
+  just below the earliest scheduled time if that comes first.  The
+  driver's hot waits call ``if not env.advance(d): yield
+  env.timeout(d)``; under oversubscription nearly every wait qualifies.
+  A caller with several such waits in a row, where nothing it does in
+  between schedules an event, may sum them on a local clock against one
+  ``horizon()`` read and commit them with one
+  :meth:`Environment.advance_to`.
 
 Both arenas live on the :class:`Environment` and are ordinary pickled
 state, so a forked :class:`~repro.engine.snapshot.EngineSnapshot`
@@ -65,6 +71,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from heapq import heappop, heappush
+from math import nextafter
 from typing import (
     Any,
     Callable,
@@ -367,10 +374,10 @@ class Environment:
         # loop pays one truthiness test per event.
         self._monitors: List[Callable[["Environment", int], None]] = []
         self._event_count = 0
-        # What advance() reads of the run loop: whether the event being
+        # What horizon() reads of the run loop: whether the event being
         # dispatched has exactly one callback and is not the sentinel of
         # run(until=event), and the current run's deadline.  Outside
-        # run() both refuse every advance.
+        # run() both make the horizon -inf.
         self._sole_waiter = False
         self._deadline = -_INF
 
@@ -460,20 +467,38 @@ class Environment:
             return timeout
         return Timeout(self, delay, value)
 
+    def horizon(self) -> float:
+        """The latest instant to which the running process may move the
+        clock in place, or −∞ when it may not.
+
+        That is the case when a timeout ending there would be the next
+        event the run loop processes and the caller its only waiter: the
+        call comes from inside :meth:`run`, the event being dispatched
+        has the caller as its one callback and is not the sentinel of
+        ``run(until=event)``, the now-queue is empty and no monitor is
+        installed.  The horizon is then the run's deadline, or the float
+        just below the earliest scheduled time when that comes first: an
+        event already due at exactly that time is older, and goes first.
+
+        It stays put while the caller schedules no event, so a run of
+        waits may be summed against one reading and committed with
+        :meth:`advance_to`.
+        """
+        if not self._sole_waiter or self._now_queue or self._monitors:
+            return -_INF
+        heap = self._heap
+        if heap and heap[0] <= self._deadline:
+            return nextafter(heap[0], -_INF)
+        return self._deadline
+
     def advance(self, delay: float) -> bool:
         """Move the clock by ``delay`` in place of a timeout, when no
         one could tell the difference; return whether it did.
 
-        It does when a ``timeout(delay)`` would be the next event the
-        run loop processes and the caller its only waiter: the call
-        comes from inside :meth:`run`, the event being dispatched has
-        the caller as its one callback and is not the sentinel of
-        ``run(until=event)``, the now-queue is empty, no monitor is
-        installed, ``now < now + delay <=`` the run's deadline, and no
-        scheduled event is due at or before ``now + delay``.  The clock
-        then moves, and the sequence number and the event count that
-        timeout would have taken are used up, so the ``(time, seq)``
-        schedule stays the one the timeout gives.
+        It does exactly when ``now < now + delay <= horizon()`` (see
+        :meth:`horizon`).  The clock then moves, and the sequence number
+        and the event count that timeout would have taken are used up,
+        so the ``(time, seq)`` schedule stays the one the timeout gives.
 
         Only a process that yields ``timeout(delay)`` right away when
         this returns ``False`` may call it::
@@ -481,21 +506,25 @@ class Environment:
             if not env.advance(delay):
                 yield env.timeout(delay)
         """
-        if not self._sole_waiter or self._now_queue or self._monitors:
-            return False
         now = self._now
         time = now + delay
-        if not now < time <= self._deadline:
-            return False
-        heap = self._heap
-        if heap and heap[0] <= time:
-            # A bucket at exactly ``time`` holds older events, which go
-            # first.
-            return False
+        if now < time <= self.horizon():
+            self.advance_to(time, 1)
+            return True
+        return False
+
+    def advance_to(self, time: float, moves: int) -> None:
+        """Commit ``moves`` waits that advanced in place, the last ending
+        at ``time``: the clock moves there, and the sequence numbers and
+        event counts their timeouts would have taken are used up.
+
+        Each wait must have met :meth:`advance`'s rule on the clock the
+        waits before it left, against one :meth:`horizon` reading, with
+        no event scheduled in between.
+        """
         self._now = time
-        self._sequence += 1
-        self._event_count += 1
-        return True
+        self._sequence += moves
+        self._event_count += moves
 
     def event(self) -> Event:
         """Create a fresh pending event (arena-recycled when possible)."""

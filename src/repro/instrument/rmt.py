@@ -23,13 +23,9 @@ moves.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.instrument.traffic import (
-    TransferDirection,
-    TransferReason,
-    TransferRecord,
-)
+from repro.instrument.traffic import TransferRecord
 
 #: Per-record waste causes (see :attr:`RmtClassifier.record_fates`).
 FATE_USEFUL = "useful"
@@ -83,38 +79,40 @@ class RmtClassifier:
         self.record_fates: Dict[int, Dict[str, int]] = {}
         self.buffer_fates: Dict[str, Dict[str, int]] = {}
 
-    def on_transfer(
+    def on_transfers(
         self,
-        block_index: int,
-        nbytes: int,
-        direction: TransferDirection,
-        reason: TransferReason,
-        record: Optional[TransferRecord] = None,
-        block=None,
+        blocks: Sequence,
+        records: Optional[Sequence[TransferRecord]] = None,
     ) -> None:
-        """Track one block's worth of a migration/eviction/prefetch.
+        """Track one hop of each va_block of ``blocks``: its
+        ``used_bytes`` moved by a migration, eviction or prefetch.
 
-        ``record`` (the retained :class:`TransferRecord` this block hop
-        belongs to, when the recorder keeps records) enables per-record
-        fate attribution alongside the aggregate tallies; ``block`` (the
-        va_block itself) supplies the owning buffer for per-buffer waste
-        tables.  Both stay ``None`` on the benchmark hot path.
+        ``records`` (when the recorder keeps records: the
+        :class:`TransferRecord` each block's hop belongs to, in block
+        order) enables per-record fate attribution alongside the
+        aggregate tallies, and each block's buffer names the owner in
+        the per-buffer waste tables.  It stays ``None`` on the benchmark
+        hot path.
         """
         pending = self._pending
-        chain = pending.get(block_index)
-        if chain is None:
-            pending[block_index] = [nbytes]
-        else:
-            chain.append(nbytes)
-        if record is not None:
-            owner = "(unknown)"
-            if block is not None and block.buffer is not None:
-                owner = block.buffer.name
-            rchain = self._pending_records.get(block_index)
-            if rchain is None:
-                self._pending_records[block_index] = [(record, nbytes, owner)]
+        for block in blocks:
+            index = block.index
+            chain = pending.get(index)
+            if chain is None:
+                pending[index] = [block.used_bytes]
             else:
-                rchain.append((record, nbytes, owner))
+                chain.append(block.used_bytes)
+        if records is None:
+            return
+        pending_records = self._pending_records
+        for block, record in zip(blocks, records):
+            owner = "(unknown)" if block.buffer is None else block.buffer.name
+            hop = (record, block.used_bytes, owner)
+            rchain = pending_records.get(block.index)
+            if rchain is None:
+                pending_records[block.index] = [hop]
+            else:
+                rchain.append(hop)
 
     def _credit(self, block_index: int, fate: str) -> None:
         rchain = self._pending_records.pop(block_index, None)

@@ -131,6 +131,37 @@ class TrafficRecorder:
             return rec
         return None
 
+    def record_run(
+        self,
+        times: Sequence[float],
+        direction: TransferDirection,
+        reason: TransferReason,
+        blocks: Sequence,
+    ) -> Optional[List[TransferRecord]]:
+        """Account a run of single-block commands, one per va_block of
+        ``blocks`` (its ``used_bytes``), the i-th ending at ``times[i]``:
+        what one :meth:`record` call per block would account.  Returns
+        their records, in block order, only when retained."""
+        nbytes = 0
+        for block in blocks:
+            nbytes += block.used_bytes
+        self._by_direction[direction._value_] += nbytes
+        self._by_reason[reason._value_] += nbytes
+        self.transfer_count += len(blocks)
+        self.block_bytes += nbytes
+        if not self._keep_records:
+            return None
+        phase = self.phase
+        records = [
+            TransferRecord(
+                time, direction, block.used_bytes, reason, block.index, 1,
+                _segments_for((block,)), phase,
+            )
+            for time, block in zip(times, blocks)
+        ]
+        self.records.extend(records)
+        return records
+
     @property
     def bytes_h2d(self) -> int:
         return self._by_direction[TransferDirection.HOST_TO_DEVICE.value]

@@ -20,18 +20,23 @@ Two residency representations with one API live here:
   reference that ``tests/test_vectorized_differential.py`` checks the
   bitmap table against (same costs, counters, errors and mapped sets).
 
-Both tables map and unmap one block per call: the driver's batch paths
+The driver's residency batches map and unmap one block per call: they
 interleave each block's CPU unmap, GPU map and zero-fill costs, so a
-batch adds its costs block by block in the same order.  The one batch
-query, :meth:`~BitmapPageTable.unmapped`, is the executor's fault probe
-over one kernel operand's wave.
+batch adds its costs block by block in the same order.  Three batch
+calls serve one caller each: :meth:`~BitmapPageTable.unmap_blocks`
+clears an eviction run's GPU PTEs and :meth:`~BitmapPageTable.map_blocks`
+maps its writebacks on the CPU (the run knows each wait in advance from
+:attr:`~BitmapPageTable.map_cost`, :attr:`~BitmapPageTable.unmap_cost`
+and :attr:`~BitmapPageTable.unmap_tlb_cost`), and
+:meth:`~BitmapPageTable.unmapped` is the executor's fault probe over one
+kernel operand's wave.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Set
+from typing import Iterable, Optional, Sequence, Set
 
 import numpy as np
 
@@ -129,6 +134,21 @@ class PageTable:
         """
         return frozenset(self._mapped)
 
+    @property
+    def map_cost(self) -> float:
+        """The cost of one :meth:`map_block`."""
+        return self._map_cost
+
+    @property
+    def unmap_cost(self) -> float:
+        """The cost of one :meth:`unmap_block` with no TLB invalidation."""
+        return self._unmap_cost
+
+    @property
+    def unmap_tlb_cost(self) -> float:
+        """The cost of one :meth:`unmap_block` with its TLB invalidation."""
+        return self._unmap_tlb_cost
+
     def map_block(self, block_index: int) -> float:
         """Establish the 2 MiB mapping; returns the time cost in seconds."""
         mapped = self._mapped
@@ -156,6 +176,22 @@ class PageTable:
             self.tlb_invalidations += 1
             return self._unmap_tlb_cost
         return self._unmap_cost
+
+    def map_blocks(self, indices: Sequence[int]) -> float:
+        """:meth:`map_block` each of ``indices``, in order; returns the
+        cost, :attr:`map_cost` per block.  A block already mapped raises
+        after the ones before it are mapped."""
+        for index in indices:
+            self.map_block(index)
+        return self._map_cost * len(indices)
+
+    def unmap_blocks(self, indices: Sequence[int]) -> float:
+        """:meth:`unmap_block` each of ``indices``, in order, with its TLB
+        invalidation; returns the cost, :attr:`unmap_tlb_cost` per block.
+        A block not mapped raises after the ones before it are unmapped."""
+        for index in indices:
+            self.unmap_block(index)
+        return self._unmap_tlb_cost * len(indices)
 
     def tlb_invalidate(self) -> float:
         """Account one TLB invalidation; returns its time cost in seconds."""
@@ -272,6 +308,21 @@ class BitmapPageTable:
         arr = np.frombuffer(self._bits, dtype=np.uint8)
         return frozenset((np.nonzero(arr)[0] + self._origin).tolist())
 
+    @property
+    def map_cost(self) -> float:
+        """The cost of one :meth:`map_block`."""
+        return self._map_cost
+
+    @property
+    def unmap_cost(self) -> float:
+        """The cost of one :meth:`unmap_block` with no TLB invalidation."""
+        return self._unmap_cost
+
+    @property
+    def unmap_tlb_cost(self) -> float:
+        """The cost of one :meth:`unmap_block` with its TLB invalidation."""
+        return self._unmap_tlb_cost
+
     def map_block(self, block_index: int) -> float:
         """Establish the 2 MiB mapping; returns the time cost in seconds."""
         # In-slab fast path; _ensure only on first touch or growth.
@@ -300,6 +351,51 @@ class BitmapPageTable:
             self.tlb_invalidations += 1
             return self._unmap_tlb_cost
         return self._unmap_cost
+
+    def map_blocks(self, indices: Sequence[int]) -> float:
+        """:meth:`map_block` each of ``indices``, in order; returns the
+        cost, :attr:`map_cost` per block.  A block already mapped raises
+        after the ones before it are mapped."""
+        done = 0
+        try:
+            for index in indices:
+                offset = index - self._origin
+                if not 0 <= offset < self._limit:
+                    offset = self._ensure(index)
+                bits = self._bits
+                if bits[offset]:
+                    raise MappingError(
+                        f"{self.processor}: block {index} is already mapped"
+                    )
+                bits[offset] = 1
+                done += 1
+        finally:
+            self._count += done
+            self.map_count += done
+        return self._map_cost * done
+
+    def unmap_blocks(self, indices: Sequence[int]) -> float:
+        """:meth:`unmap_block` each of ``indices``, in order, with its TLB
+        invalidation; returns the cost, :attr:`unmap_tlb_cost` per block.
+        A block not mapped raises after the ones before it are unmapped."""
+        bits = self._bits
+        origin = self._origin
+        limit = self._limit
+        done = 0
+        try:
+            for index in indices:
+                offset = index - origin
+                if not 0 <= offset < limit or not bits[offset]:
+                    raise MappingError(
+                        f"{self.processor}: block {index} not mapped"
+                    )
+                bits[offset] = 0
+                done += 1
+        finally:
+            self._count -= done
+            self.unmap_count += done
+            self.tlb_invalidations += done
+        return self._unmap_tlb_cost * done
 
     def tlb_invalidate(self) -> float:
         """Account one TLB invalidation; returns its time cost in seconds."""

@@ -458,6 +458,149 @@ class TestFrameAcquisitionRareCases:
             0, BIG_PAGE
         )
 
+    def test_block_freed_mid_migration_to_the_gpu_stays_released(self):
+        """A buffer freed while its block's H2D wire is on the way to
+        gpu0: the block ends with no residency, frame or mapping, its
+        destination frame sits in gpu0's unused queue, and the bytes
+        already moved count as H2D traffic resolved redundant."""
+        env, driver = make_driver(capacity_mib=8)  # 4 frames
+        (a,) = make_blocks(driver, 1)
+        populate_cpu(env, driver, [a])
+        config = driver.config
+        command = config.prefetch_command_overhead + config.prefetch_per_block
+        cpu, gpu = driver.cpu_page_table.costs, driver.gpu_page_table("gpu0").costs
+        remap = (
+            cpu.unmap_block + cpu.tlb_invalidate + gpu.map_block + gpu.batch_overhead
+        )
+        wire = driver.link.transfer_time(BIG_PAGE, chunk=BIG_PAGE)
+        during = []
+
+        def release_mid_wire():
+            yield env.timeout(command + remap + wire / 2)
+            during.append((a.residency, a.index in driver.inspect().inflight))
+            driver.release_blocks([a])
+
+        env.process(release_mid_wire())
+        run(env, driver.prefetch([a], "gpu0"))
+        assert during == [("cpu", True)]
+        assert a.residency is None and a.frame is None
+        assert not driver.cpu_page_table.is_mapped(a.index)
+        view = driver.inspect()
+        gpu0 = view.gpus["gpu0"]
+        assert a.index not in gpu0.mapped_blocks
+        assert (gpu0.unused_queue_frames, gpu0.used_frames) == (1, 1)
+        assert gpu0.used_queue_blocks == ()
+        assert driver.traffic.bytes_h2d == BIG_PAGE
+        assert collect_invariant_problems(view) == []
+        check_transfer_conservation(driver)
+        driver.finalize()
+        assert (driver.rmt.useful_bytes, driver.rmt.redundant_bytes) == (
+            0, BIG_PAGE
+        )
+
+    @pytest.mark.parametrize(
+        "clear_part, wire_part, owner, gpu0_frames",
+        [
+            # Halfway through the PTE clear on gpu0, before gpu1's frame
+            # is taken: the release files gpu0's frame on gpu0's unused
+            # queue.
+            (0.5, 0.0, "gpu0", (1, 3)),
+            # Halfway through the D2H wire: the block holds gpu1's frame,
+            # and the move frees gpu0's.
+            (1.0, 0.5, "gpu1", (0, 4)),
+        ],
+        ids=["mid-clear", "mid-wire"],
+    )
+    def test_block_freed_mid_peer_migration_stays_released(
+        self, clear_part, wire_part, owner, gpu0_frames
+    ):
+        """A buffer freed while its block moves from gpu0 to gpu1 through
+        the host: gpu1's frame goes to gpu1's unused queue, gpu0's frame
+        ends free or unused on gpu0, and the block ends with no
+        residency, frame or mapping."""
+        env, driver = make_driver(capacity_mib=8)  # 4 frames
+        driver.register_gpu("gpu1", 8 * MIB)
+        (a,) = make_blocks(driver, 1)
+        populate_cpu(env, driver, [a])
+        run(env, driver.prefetch([a], "gpu0"))
+        driver.note_access(a, AccessMode.WRITE)
+        config = driver.config
+        command = config.prefetch_command_overhead + config.prefetch_per_block
+        costs = driver.gpu_page_table("gpu0").costs
+        clear = costs.unmap_block + costs.tlb_invalidate
+        wire = driver.link.transfer_time(BIG_PAGE, chunk=BIG_PAGE)
+        during = []
+
+        def release():
+            yield env.timeout(command + clear * clear_part + wire * wire_part)
+            during.append((a.residency, a.frame.owner))
+            driver.release_blocks([a])
+
+        start = env.now
+        env.process(release())
+        run(env, driver.prefetch([a], "gpu1"))
+        assert start + command + clear < env.now
+        assert during == [("gpu0", owner)]
+        assert a.residency is None and a.frame is None
+        view = driver.inspect()
+        assert a.index not in view.cpu_mapped
+        for name in ("gpu0", "gpu1"):
+            assert a.index not in view.gpus[name].mapped_blocks
+            assert view.gpus[name].used_queue_blocks == ()
+        assert (
+            view.gpus["gpu0"].unused_queue_frames, view.gpus["gpu0"].free_frames
+        ) == gpu0_frames
+        assert (
+            view.gpus["gpu1"].unused_queue_frames, view.gpus["gpu1"].used_frames
+        ) == (1, 1)
+        assert (driver.traffic.bytes_h2d, driver.traffic.bytes_d2h) == (
+            2 * BIG_PAGE, BIG_PAGE
+        )
+        assert collect_invariant_problems(view) == []
+        check_transfer_conservation(driver)
+        driver.finalize()
+        assert driver.rmt.redundant_bytes == 3 * BIG_PAGE
+
+    def test_block_freed_while_it_waits_for_a_frame_stays_released(self):
+        """A buffer freed while its block's migration to gpu0 waits for a
+        frame (every victim is another prefetch's, in flight): the frame
+        it gets afterwards goes to gpu0's unused queue and the gpu0
+        mapping made afterwards is cleared."""
+        env, driver = make_driver(capacity_mib=4)  # 2 frames
+        x, y, a = make_blocks(driver, 3)
+        populate_cpu(env, driver, [x, y, a])
+        config = driver.config
+        command = config.prefetch_command_overhead + config.prefetch_per_block
+        during = []
+
+        def later_prefetch():
+            yield env.timeout(command)
+            yield from driver.prefetch([a], "gpu0")
+
+        def release_while_waiting():
+            yield env.timeout(2 * command + us(0.5))
+            during.append((a.residency, a.frame, driver.frame_waiters))
+            driver.release_blocks([a])
+
+        env.process(driver.prefetch([x], "gpu0"))
+        env.process(driver.prefetch([y], "gpu0"))
+        env.process(release_while_waiting())
+        run(env, later_prefetch())
+        assert during == [("cpu", None, 1)]
+        assert a.residency is None and a.frame is None
+        view = driver.inspect()
+        assert a.index not in view.cpu_mapped
+        assert a.index not in view.gpus["gpu0"].mapped_blocks
+        assert (x.residency, y.residency) == ("cpu", "gpu0")
+        assert (
+            view.gpus["gpu0"].unused_queue_frames, view.gpus["gpu0"].used_frames
+        ) == (1, 2)
+        assert (driver.traffic.bytes_h2d, driver.traffic.bytes_d2h) == (
+            3 * BIG_PAGE, BIG_PAGE
+        )
+        assert collect_invariant_problems(view) == []
+        check_transfer_conservation(driver)
+
     def test_discarded_victim_frees_its_frame_before_a_pte_clear_wait(self):
         """A lazily discarded victim's PTE clear is cut short by another
         prefetch: the frame waits in the free pool, and the other

@@ -1,6 +1,7 @@
 """Tests for the discrete-event engine core."""
 
 import gc
+import math
 
 import pytest
 from hypothesis import given
@@ -479,6 +480,166 @@ class TestAdvance:
         assert not env.advance(1.0)
         # The dispatch that raised is not counted.
         assert _state(env) == (2.0, 3, 4)
+
+
+def _horizon_then_wait(env, seen, delay=1.0):
+    """Read the horizon where a hot wait would, then wait ``delay``."""
+    seen.append(env.horizon())
+    yield env.timeout(delay)
+
+
+class TestHorizon:
+    """``horizon()`` is the latest instant ``advance`` may move the clock
+    to: −∞ in each case ``advance`` refuses whatever the delay, else the
+    run's deadline or the float just below the earliest scheduled time,
+    whichever comes first."""
+
+    def test_minus_infinity_outside_run(self):
+        env = Environment()
+        assert env.horizon() == -math.inf
+        seen = []
+        env.process(_horizon_then_wait(env, seen))
+        env.run()
+        assert seen == [math.inf]
+        assert env.horizon() == -math.inf
+
+    def test_minus_infinity_under_a_monitor(self):
+        env = Environment()
+        env.add_monitor(lambda env, count: None)
+        seen = []
+        env.process(_horizon_then_wait(env, seen))
+        env.run()
+        assert seen == [-math.inf]
+
+    def test_minus_infinity_behind_a_queued_zero_delay_event(self):
+        env = Environment()
+        seen = []
+
+        def proc():
+            env.event().succeed()
+            yield from _horizon_then_wait(env, seen)
+
+        env.process(proc())
+        env.run()
+        assert seen == [-math.inf]
+
+    def test_minus_infinity_with_a_second_waiter(self):
+        env = Environment()
+        fired = env.event()
+        seen = []
+
+        def waiter():
+            yield fired
+            yield from _horizon_then_wait(env, seen)
+
+        env.process(waiter())
+        env.process(waiter())
+        fired.succeed()
+        env.run()
+        assert seen == [-math.inf, -math.inf]
+
+    def test_minus_infinity_on_the_sentinel_dispatch(self):
+        env = Environment()
+        seen = []
+
+        def first():
+            yield env.timeout(0.5)
+
+        target = env.process(first())
+
+        def joiner():
+            yield target
+            yield from _horizon_then_wait(env, seen)
+
+        env.process(joiner())
+        env.run(until=target)
+        assert seen == [-math.inf]
+        env.run()
+
+    def test_the_deadline_when_the_heap_is_empty(self):
+        env = Environment()
+        seen = []
+        env.process(_horizon_then_wait(env, seen))
+        env.run(until=3.0)
+        assert seen == [3.0]
+
+    def test_the_deadline_when_it_comes_before_the_heap(self):
+        env = Environment()
+        seen = []
+
+        def later():
+            yield env.timeout(5.0)
+
+        env.process(later())
+        env.process(_horizon_then_wait(env, seen))
+        env.run(until=3.0)
+        assert seen == [3.0]
+
+    @pytest.mark.parametrize(
+        "start, due, below",
+        # At 2**53 the floats are 2.0 apart: the one below start + 2.0
+        # is start itself, so no wait may advance in place.
+        [(0.0, 1.0, 1.0 - 2.0**-53), (2.0**53, 2.0, 2.0**53)],
+    )
+    def test_just_below_the_earliest_scheduled_time(self, start, due, below):
+        env = Environment(start)
+        seen = []
+        moved = []
+
+        def other():
+            yield env.timeout(due)
+
+        def proc():
+            seen.append(env.horizon())
+            moved.append(env.advance(due))
+            moved.append(env.advance(below - start))
+            yield env.timeout(due)
+
+        env.process(other())
+        env.process(proc())
+        env.run()
+        assert seen == [below]
+        assert math.nextafter(below, math.inf) == start + due
+        # The other process's timeout is older and goes first; a wait
+        # that ends just below it is the next event processed.
+        assert moved == [False, below > start]
+
+    def test_advance_to_commits_like_as_many_advance_calls(self):
+        delays = (0.5, 0.25, 1.0)
+        after = []
+
+        def stepwise(env):
+            for delay in delays:
+                assert env.advance(delay)
+            after.append(_state(env))
+            yield env.timeout(1.0)
+
+        def at_once(env):
+            clock = env.now
+            horizon = env.horizon()
+            for delay in delays:
+                assert clock < clock + delay <= horizon
+                clock += delay
+            env.advance_to(clock, len(delays))
+            after.append(_state(env))
+            yield env.timeout(1.0)
+
+        def timed(env):
+            for delay in delays:
+                yield env.timeout(delay)
+            after.append(_state(env))
+            yield env.timeout(1.0)
+
+        ends = []
+        for body in (stepwise, at_once, timed):
+            env = Environment()
+            env.process(body(env))
+            env.run()
+            ends.append(_state(env))
+        # The bootstrap is still being dispatched when the moves end, and
+        # the last timed wait's timeout too.
+        assert after == [(1.75, 3, 4)] * 3
+        assert ends == [(2.75, 6, 6)] * 3
 
 
 class TestFinishedProcessesLeaveNoCycles:

@@ -7,16 +7,18 @@ recycled under a refcount proof, and ``advance``, which moves the clock
 in place of a timeout that would be the next event processed.  None of
 them may change what a program observes.  This module keeps a
 deliberately plain engine (one ``heapq`` of ``(time, sequence, event)``,
-no queues beside it, no pools, no inlined paths, and an ``advance``
-that always refuses) and has Hypothesis run small random programs on
-both, comparing every resume's time and value, the per-event monitor
-ticks, the final clock, the event count, the sequence counter and any
-error.
+no queues beside it, no pools, no inlined paths, an ``advance`` that
+always refuses and a ``horizon`` of −∞) and has Hypothesis run small
+random programs on both, comparing every resume's time and value, the
+per-event monitor ticks, the final clock, the event count, the sequence
+counter and any error.
 
 The programs' sleep, hold and child waits go through
 ``if not env.advance(d): yield env.timeout(d)``, as the simulator's hot
-waits do.  A monitor switches ``advance`` off, so each program runs
-twice on each engine: once with the tick monitor and once without.
+waits do, and every sleep checks the horizon rule: ``advance(d)``
+succeeds exactly when ``now < now + d <= horizon()``.  A monitor
+switches ``advance`` off, so each program runs twice on each engine:
+once with the tick monitor and once without.
 
 The reference keeps the two rules the engine documents as semantics
 rather than as shortcuts: a process that yields an already-processed
@@ -195,6 +197,9 @@ class RefEnvironment:
     def advance(self, delay):
         return False
 
+    def horizon(self):
+        return -float("inf")
+
     def run(self, until=None):
         sentinel = until if isinstance(until, RefEvent) else None
         deadline = None
@@ -250,6 +255,8 @@ def execute(engine, program, mode, start, monitored):
     shared = [env.event() for _ in range(4)]
     resources = [make_resource(env, 1), make_resource(env, 2)]
     log = []
+    # Sleeps whose advance broke the horizon rule.
+    broken = []
     generators = []
     processes = []
 
@@ -269,7 +276,11 @@ def execute(engine, program, mode, start, monitored):
             kind = step[0]
             try:
                 if kind == "sleep":
-                    if env.advance(step[1]):
+                    before, horizon = env.now, env.horizon()
+                    advanced = env.advance(step[1])
+                    if advanced != (before < before + step[1] <= horizon):
+                        broken.append((pid, index, before, horizon, advanced))
+                    if advanced:
                         outcome = (pid, index)
                     else:
                         outcome = yield env.timeout(step[1], (pid, index))
@@ -336,6 +347,7 @@ def execute(engine, program, mode, start, monitored):
         "event_count": env.event_count,
         "sequence": env.sequence if engine == "reference" else env._sequence,
         "error": error,
+        "broken": broken,
     }
 
 
@@ -394,6 +406,14 @@ _programs = st.lists(st.lists(_step, min_size=1, max_size=8), min_size=1, max_si
     start=0.0,
 )
 @example(program=[[("sleep", -0.5)]], mode="drain", start=0.0)
+# A held resource's wait that ends on the instant another process's
+# sleep is due: the horizon is the float below that instant, not the
+# instant itself.
+@example(
+    program=[[("sleep", 0.5)], [("hold", 0, True, 0.5)]],
+    mode="drain",
+    start=0.0,
+)
 def test_engine_matches_reference(program, mode, start):
     for monitored in (True, False):
         observed = execute("engine", program, mode, start, monitored)

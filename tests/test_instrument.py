@@ -72,7 +72,7 @@ def _blocks(*indices):
 
 class TestRmtClassifier:
     def _transfer(self, rmt, block, nbytes=100):
-        rmt.on_transfer(block, nbytes, H2D, TransferReason.FAULT_MIGRATION)
+        rmt.on_transfers([VaBlock(block, nbytes)])
 
     def test_read_resolves_useful(self):
         rmt = RmtClassifier()
@@ -98,8 +98,8 @@ class TestRmtClassifier:
     def test_chain_resolved_together(self):
         """An evict + re-migrate chain resolves as one unit."""
         rmt = RmtClassifier()
-        rmt.on_transfer(1, 100, D2H, TransferReason.EVICTION)
-        rmt.on_transfer(1, 100, H2D, TransferReason.FAULT_MIGRATION)
+        rmt.on_transfers([VaBlock(1, 100)])
+        rmt.on_transfers([VaBlock(1, 100)])
         rmt.on_overwrites(_blocks(1))
         assert rmt.redundant_bytes == 200
 
@@ -166,8 +166,7 @@ class TestRmtClassifier:
         rmt = RmtClassifier()
         traffic = TrafficRecorder(keep_records=True)
         record = traffic.record(0.0, H2D, 300, TransferReason.PREFETCH, 1, 3)
-        for index in (1, 2, 3):
-            rmt.on_transfer(index, 100, H2D, TransferReason.PREFETCH, record)
+        rmt.on_transfers([VaBlock(index, 100) for index in (1, 2, 3)], [record] * 3)
         rmt.on_reads(_blocks(1))
         rmt.on_overwrites(_blocks(2))
         rmt.on_discards(_blocks(3))
@@ -192,9 +191,8 @@ class TestRmtClassifier:
         transferred = 0
         for indices, action in events:
             if action == "transfer":
-                for index in indices:
-                    rmt.on_transfer(index, 10, H2D, TransferReason.PREFETCH)
-                    transferred += 10
+                rmt.on_transfers([VaBlock(index, 10) for index in indices])
+                transferred += 10 * len(indices)
             elif action == "read":
                 rmt.on_reads(_blocks(*indices))
             elif action == "overwrite":

@@ -38,6 +38,9 @@ _table_op = st.one_of(
     st.tuples(
         st.just("unmapped"), st.lists(_INDEX_BANDS, min_size=1, max_size=80)
     ),
+    # The eviction run's batch calls; a repeated index raises midway.
+    st.tuples(st.just("map_blocks"), st.lists(_INDEX_BANDS, max_size=12)),
+    st.tuples(st.just("unmap_blocks"), st.lists(_INDEX_BANDS, max_size=12)),
     st.tuples(st.just("fork"), st.none()),
 )
 
@@ -51,6 +54,10 @@ def _apply(table, name, arg):
             return ("ok", table.unmap_block(arg))
         if name == "unmap_no_tlb":
             return ("ok", table.unmap_block(arg, invalidate_tlb=False))
+        if name == "map_blocks":
+            return ("ok", table.map_blocks(arg))
+        if name == "unmap_blocks":
+            return ("ok", table.unmap_blocks(arg))
         if name == "unmapped":
             blocks = [VaBlock(index, BIG_PAGE) for index in arg]
             return ("ok", [block.index for block in table.unmapped(blocks)])
